@@ -1,9 +1,9 @@
-//! Batch-execution A/B: row-at-a-time vs batch vs batch+Myers on the
+//! Batch-execution A/B: one-row batches vs batch vs batch+Myers on the
 //! Figure 6 ψ seq-scan workload, plus the Ω closure scan.
 //!
 //! Three arms over the identical single-worker scan (the regime where
 //! per-tuple dispatch dominates and vectorization pays):
-//!   A `SET enable_batch = 0`                — the PR 6 row-at-a-time path
+//!   A `SET batch_size = 1`                  — one-row batches (row-at-a-time)
 //!   B batch with `SET lexequal.myers = 0`   — vectorized spine, banded DP
 //!   C batch defaults                        — vectorized spine + Myers
 //! Arms run interleaved, min-of-N, so drift hits all three equally.  The
@@ -16,6 +16,7 @@
 
 use mlql_bench::report::Report;
 use mlql_bench::{load_names_table, mural_db, scale, timed};
+use mlql_kernel::exec::default_batch_size;
 use mlql_kernel::Database;
 
 /// Interleaved rounds; each arm keeps its per-round minimum.
@@ -52,10 +53,10 @@ fn omega_scan_secs(db: &mut Database) -> f64 {
 }
 
 /// Put the session into one of the three arms.
-fn arm(db: &mut Database, enable_batch: bool, myers: bool) {
+fn arm(db: &mut Database, batch: bool, myers: bool) {
     db.execute(&format!(
-        "SET enable_batch = {}",
-        if enable_batch { 1 } else { 0 }
+        "SET batch_size = {}",
+        if batch { default_batch_size() } else { 1 }
     ))
     .unwrap();
     db.execute(&format!(
@@ -67,7 +68,7 @@ fn arm(db: &mut Database, enable_batch: bool, myers: bool) {
 
 fn main() {
     let n_names = 2000 * scale();
-    println!("# Batch execution A/B: row vs batch vs batch+Myers (ψ seq scan)");
+    println!("# Batch execution A/B: one-row batches vs batch vs batch+Myers (ψ seq scan)");
     println!(
         "# names table: {n_names} rows; ψ threshold 3; scale {}",
         scale()
@@ -124,7 +125,7 @@ fn main() {
     println!();
     println!("| arm                    | ψ scan (ms) | speedup |");
     println!("|------------------------|-------------|---------|");
-    println!("| A row-at-a-time        | {:>11.3} |    1.00 |", row * 1e3);
+    println!("| A batch_size = 1       | {:>11.3} |    1.00 |", row * 1e3);
     println!(
         "| B batch (banded DP)    | {:>11.3} | {batch_speedup:>7.2} |",
         batch * 1e3
@@ -135,12 +136,12 @@ fn main() {
     );
     println!();
     println!(
-        "Ω scan: row {:.3} ms, batch {:.3} ms ({omega_speedup:.2}x, per-batch closure memo)",
+        "Ω scan: one-row {:.3} ms, batch {:.3} ms ({omega_speedup:.2}x, per-batch closure memo)",
         omega_row * 1e3,
         omega_batch * 1e3
     );
     println!(
-        "acceptance target (batch+Myers ≥ 1.5x row): {}",
+        "acceptance target (batch+Myers ≥ 1.5x one-row batches): {}",
         if target_met { "MET" } else { "NOT MET" }
     );
 

@@ -1,19 +1,19 @@
-//! Volcano-style executors with a batch-at-a-time spine.
+//! Pull-based executors exchanging batches of rows.
 //!
-//! Every operator is a pull-based iterator ([`Executor::next`]); rescans
-//! (`rescan`) support non-materialized nested-loops joins, whose repeated
-//! inner-side page traffic is exactly what makes the paper's Plan 2 of
-//! Example 5 expensive.
+//! Every operator is a pull-based iterator with one pull method,
+//! [`Executor::next_batch`]: operators exchange [`Batch`]es of up to
+//! `batch_size` rows (default 1024, `SET batch_size`, max
+//! [`MAX_BATCH_ROWS`]; `batch_size = 1` degenerates to row-at-a-time
+//! pulls).  Rescans (`rescan`) support non-materialized nested-loops
+//! joins, whose repeated inner-side page traffic is exactly what makes
+//! the paper's Plan 2 of Example 5 expensive.
 //!
-//! On top of the row ABI sits [`Executor::next_batch`]: operators exchange
-//! [`Batch`]es of up to `batch_size` rows (default 1024, `SET batch_size`,
-//! max [`MAX_BATCH_ROWS`]).  A default adapter loops `next`, so every
-//! operator keeps working unmodified; the hot spine — seq scan → filter →
-//! project → limit, plus the gather node of a parallel scan — overrides it
-//! natively and evaluates predicates through [`Expr::eval_batch`], which
-//! dispatches ψ/Ω once per batch instead of once per row.  `SET
-//! enable_batch = 0` falls back to pure row-at-a-time pulls (the A/B
-//! baseline for the `batch_exec` bench).
+//! The scan spine — seq scan → filter → project → limit, plus the gather
+//! node of a parallel scan — evaluates predicates through
+//! [`Expr::eval_batch`], which dispatches ψ/Ω once per batch instead of
+//! once per row.  Joins read their outer/probe side through a
+//! `RowCursor` and evaluate their predicates per pair with
+//! [`Expr::eval`]; the blocking operators drain their input in batches.
 
 use crate::catalog::{Catalog, SessionVars, TableMeta};
 use crate::error::{Error, Result};
@@ -69,8 +69,7 @@ pub struct ExecStats {
     pub ext_op_calls: StatCell,
     /// Rows produced by the plan root.
     pub rows_out: StatCell,
-    /// Batches produced by the plan root (0 when the statement was driven
-    /// row-at-a-time, e.g. `SET enable_batch = 0`).
+    /// Batches produced by the plan root.
     pub batches_out: StatCell,
 }
 
@@ -125,8 +124,7 @@ pub struct OpStats {
     pub index_node_visits: StatCell,
     /// Extension-operator (ψ/Ω) evaluations in this subtree.
     pub ext_op_calls: StatCell,
-    /// Batches this node produced via `next_batch` (0 when the node was
-    /// only ever pulled row-at-a-time).
+    /// Batches this node produced.
     pub batches: StatCell,
 }
 
@@ -177,10 +175,6 @@ impl ParallelScanActuals {
 /// row-at-a-time pulls through the batch ABI).
 pub const BATCH_SIZE_VAR: &str = "batch_size";
 
-/// Session variable switching the drivers between the batch spine
-/// (default) and pure row-at-a-time Volcano pulls (`SET enable_batch = 0`).
-pub const ENABLE_BATCH_VAR: &str = "enable_batch";
-
 /// Hard upper bound on rows per batch: batches stay cache-friendly slabs
 /// of a few thousand rows, never unbounded materializations.
 pub const MAX_BATCH_ROWS: usize = 4096;
@@ -207,15 +201,9 @@ pub fn effective_batch_size(session: &SessionVars) -> usize {
         .min(MAX_BATCH_ROWS)
 }
 
-/// Is the batch spine enabled for this session?
-pub fn batch_enabled(session: &SessionVars) -> bool {
-    session.get_int(ENABLE_BATCH_VAR, 1) != 0
-}
-
 /// A slab of rows flowing between operators.
 ///
-/// Rows are stored in producer order; [`Batch::column`] gives columnar
-/// access for vectorized consumers.  Producers never emit empty batches —
+/// Rows are stored in producer order.  Producers never emit empty batches —
 /// end-of-stream is `None` from [`Executor::next_batch`] — and never more
 /// than the `max` the consumer asked for, so LIMIT and `max_rows` keep
 /// exact semantics on the batch path.
@@ -245,33 +233,87 @@ impl Batch {
     pub fn row_refs(&self) -> Vec<&[Datum]> {
         self.rows.iter().map(|r| r.as_slice()).collect()
     }
+}
 
-    /// Columnar view of one attribute across the batch.
-    pub fn column(&self, index: usize) -> impl Iterator<Item = &Datum> {
-        self.rows.iter().filter_map(move |r| r.get(index))
+/// `rows` as a batch, or `None` (end of stream) when there are none.
+fn batch_of(rows: Vec<Row>) -> Option<Batch> {
+    (!rows.is_empty()).then(|| Batch::new(rows))
+}
+
+/// Fill one batch of up to `max` rows from a row-producing operator body
+/// (index scans and joins, which emit one row per step).
+fn fill_batch(
+    max: usize,
+    mut next_row: impl FnMut() -> Result<Option<Row>>,
+) -> Result<Option<Batch>> {
+    let mut rows = Vec::new();
+    while rows.len() < max.max(1) {
+        match next_row()? {
+            Some(row) => rows.push(row),
+            None => break,
+        }
+    }
+    Ok(batch_of(rows))
+}
+
+/// Row-at-a-time reader over a child's batches: the outer (and rescanned
+/// inner) side of a nested-loops join and the probe side of a hash join
+/// step through their input one row at a time.
+#[derive(Default)]
+struct RowCursor {
+    rows: std::vec::IntoIter<Row>,
+}
+
+impl RowCursor {
+    /// The next row of `input`, pulling a new batch of up to `max` rows
+    /// when the current one is used up.
+    fn pull(
+        &mut self,
+        input: &mut dyn Executor,
+        ctx: &ExecCtx<'_>,
+        max: usize,
+    ) -> Result<Option<Row>> {
+        loop {
+            if let Some(row) = self.rows.next() {
+                return Ok(Some(row));
+            }
+            match input.next_batch(ctx, max)? {
+                Some(batch) => self.rows = batch.rows.into_iter(),
+                None => return Ok(None),
+            }
+        }
     }
 
-    /// Take the rows back out.
-    pub fn into_rows(self) -> Vec<Row> {
-        self.rows
+    /// Drop the buffered rows (the input was rescanned).
+    fn clear(&mut self) {
+        self.rows = Vec::new().into_iter();
     }
+}
+
+/// The next batch of up to `max` rows replayed from a materialized buffer
+/// (aggregate and sort output, which rescans replay from the start).
+fn replay(buf: &[Row], pos: &mut usize, max: usize) -> Option<Batch> {
+    let end = buf.len().min(*pos + max.max(1));
+    let rows = buf[*pos..end].to_vec();
+    *pos = end;
+    batch_of(rows)
 }
 
 /// Evaluate `filter` over `rows` via [`Expr::eval_batch`], keeping only
 /// the passing rows (order preserved).
 fn filter_rows_batch(filter: &Expr, rows: Vec<Row>, eval: &EvalCtx<'_>) -> Result<Vec<Row>> {
-    let refs: Vec<&[Datum]> = rows.iter().map(|r| r.as_slice()).collect();
-    let mask = filter.eval_batch(&refs, eval)?;
-    Ok(rows
+    let batch = Batch::new(rows);
+    let mask = filter.eval_batch(&batch.row_refs(), eval)?;
+    Ok(batch
+        .rows
         .into_iter()
         .zip(mask)
         .filter_map(|(row, v)| v.is_true().then_some(row))
         .collect())
 }
 
-/// Drain `input` to exhaustion, feeding every row to `sink` — through the
-/// batch ABI when the session has it enabled, else row-at-a-time.  The
-/// bulk drains (aggregate/sort input, hash-join build, materialized
+/// Drain `input` to exhaustion in batches, feeding every row to `sink`.
+/// The bulk drains (aggregate/sort input, hash-join build, materialized
 /// nested-loops inner) all funnel through here so a scan feeding them
 /// gets vectorized predicate evaluation.
 fn drain_input(
@@ -279,59 +321,27 @@ fn drain_input(
     ctx: &ExecCtx<'_>,
     mut sink: impl FnMut(Row) -> Result<()>,
 ) -> Result<()> {
-    if batch_enabled(ctx.session) {
-        let max = effective_batch_size(ctx.session);
-        while let Some(batch) = input.next_batch(ctx, max)? {
-            for row in batch.rows {
-                sink(row)?;
-            }
-        }
-    } else {
-        while let Some(row) = input.next(ctx)? {
+    let max = effective_batch_size(ctx.session);
+    while let Some(batch) = input.next_batch(ctx, max)? {
+        for row in batch.rows {
             sink(row)?;
         }
     }
     Ok(())
 }
 
-/// Wraps an executor, attributing per-`next` deltas of the shared
+/// Wraps an executor, attributing per-`next_batch` deltas of the shared
 /// query counters (pool I/O, index visits, ext-op calls) to this node.
 struct InstrumentedExec {
     inner: Box<dyn Executor>,
     stats: Arc<OpStats>,
-    /// True before the first `next` of each loop (start or post-rescan).
+    /// True before the first pull of each loop (start or post-rescan).
     fresh: bool,
 }
 
 impl Executor for InstrumentedExec {
     fn schema(&self) -> &Schema {
         self.inner.schema()
-    }
-
-    fn next(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<Row>> {
-        if self.fresh {
-            self.fresh = false;
-            self.stats.loops.add(1);
-        }
-        let io_before = ctx.pool.stats();
-        let inv_before = ctx.stats.index_node_visits.get();
-        let ext_before = ctx.stats.ext_op_calls.get();
-        let start = Instant::now();
-        let out = self.inner.next(ctx);
-        let elapsed = start.elapsed().as_nanos() as u64;
-        let io = ctx.pool.stats().since(&io_before);
-        let s = &self.stats;
-        s.time_ns.add(elapsed);
-        s.logical_reads.add(io.logical_reads);
-        s.physical_reads.add(io.physical_reads);
-        s.index_node_visits
-            .add(ctx.stats.index_node_visits.get() - inv_before);
-        s.ext_op_calls
-            .add(ctx.stats.ext_op_calls.get() - ext_before);
-        if let Ok(Some(_)) = &out {
-            s.rows.add(1);
-        }
-        out
     }
 
     fn next_batch(&mut self, ctx: &ExecCtx<'_>, max: usize) -> Result<Option<Batch>> {
@@ -374,27 +384,12 @@ impl Executor for InstrumentedExec {
 pub trait Executor: Send {
     /// Output schema.
     fn schema(&self) -> &Schema;
-    /// Produce the next row, or `None` at end of stream.
-    fn next(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<Row>>;
     /// Produce the next batch of up to `max` rows, or `None` at end of
     /// stream.
     ///
     /// Contract: a returned batch is never empty and never longer than
-    /// `max`; rows arrive in the same order `next` would produce them.
-    /// This default is the row-compatibility adapter — it loops `next`,
-    /// so operators without a native batch path interoperate freely with
-    /// batch-native parents and children.
-    fn next_batch(&mut self, ctx: &ExecCtx<'_>, max: usize) -> Result<Option<Batch>> {
-        let max = max.max(1);
-        let mut rows = Vec::new();
-        while rows.len() < max {
-            match self.next(ctx)? {
-                Some(row) => rows.push(row),
-                None => break,
-            }
-        }
-        Ok((!rows.is_empty()).then(|| Batch::new(rows)))
-    }
+    /// `max`, so LIMIT and `max_rows` keep exact semantics.
+    fn next_batch(&mut self, ctx: &ExecCtx<'_>, max: usize) -> Result<Option<Batch>>;
     /// Reset to the start of the stream (for nested-loops rescans).
     fn rescan(&mut self, ctx: &ExecCtx<'_>) -> Result<()>;
 }
@@ -500,6 +495,8 @@ fn build_executor_impl(
             predicate: predicate.clone(),
             materialize: *materialize_inner,
             schema: node.schema.clone(),
+            outer_rows: RowCursor::default(),
+            inner_rows: RowCursor::default(),
             outer_row: None,
             inner_buf: None,
             inner_pos: 0,
@@ -519,6 +516,7 @@ fn build_executor_impl(
             residual: residual.clone(),
             schema: node.schema.clone(),
             table: None,
+            probe_rows: RowCursor::default(),
             probe_row: None,
             matches: Vec::new(),
             match_pos: 0,
@@ -570,37 +568,33 @@ pub const MAX_ROWS_VAR: &str = "max_rows";
 /// runaway SELECT fails with [`Error::MaxRows`] instead of materializing
 /// an unbounded `Vec<Row>`.
 pub fn run_to_vec(node: &PhysNode, ctx: &ExecCtx<'_>) -> Result<Vec<Row>> {
+    let mut exec = build_executor(node, ctx)?;
+    drive_root(exec.as_mut(), ctx)
+}
+
+/// Pull a built plan root to exhaustion in `batch_size` batches — the one
+/// driver behind [`run_to_vec`] and `EXPLAIN ANALYZE`.  Enforces
+/// `max_rows`, reports progress to the session's activity slot, and sets
+/// `rows_out`/`batches_out` in `ctx.stats`.
+pub fn drive_root(exec: &mut dyn Executor, ctx: &ExecCtx<'_>) -> Result<Vec<Row>> {
     let max_rows = ctx.session.get_int(MAX_ROWS_VAR, 0).max(0) as u64;
-    // Resolve the activity slot once; the per-row cost is then a single
+    // Resolve the activity slot once; the per-batch cost is then a single
     // relaxed fetch_add on the owning session's slot.
     let slot = crate::obs::current().and_then(|c| c.slot.clone());
-    let mut exec = build_executor(node, ctx)?;
+    let max = effective_batch_size(ctx.session);
     let mut out = Vec::new();
-    if batch_enabled(ctx.session) {
-        let max = effective_batch_size(ctx.session);
-        let mut batches = 0u64;
-        while let Some(batch) = exec.next_batch(ctx, max)? {
-            batches += 1;
-            if max_rows > 0 && (out.len() + batch.len()) as u64 > max_rows {
-                return Err(Error::MaxRows { limit: max_rows });
-            }
-            if let Some(slot) = &slot {
-                slot.add_rows(batch.len() as u64);
-            }
-            out.extend(batch.rows);
+    let mut batches = 0u64;
+    while let Some(batch) = exec.next_batch(ctx, max)? {
+        batches += 1;
+        if max_rows > 0 && (out.len() + batch.len()) as u64 > max_rows {
+            return Err(Error::MaxRows { limit: max_rows });
         }
-        ctx.stats.batches_out.set(batches);
-    } else {
-        while let Some(row) = exec.next(ctx)? {
-            if max_rows > 0 && out.len() as u64 >= max_rows {
-                return Err(Error::MaxRows { limit: max_rows });
-            }
-            out.push(row);
-            if let Some(slot) = &slot {
-                slot.add_rows(1);
-            }
+        if let Some(slot) = &slot {
+            slot.add_rows(batch.len() as u64);
         }
+        out.extend(batch.rows);
     }
+    ctx.stats.batches_out.set(batches);
     ctx.stats.rows_out.set(out.len() as u64);
     Ok(out)
 }
@@ -640,20 +634,13 @@ impl SeqScanExec {
         if self.page >= n_pages {
             return Ok(false);
         }
-        let arity = self.meta.schema.len();
-        let file = self.meta.heap.file_id();
-        self.page_rows.clear();
-        // Copy the page image out under the pool mutex and decode outside
-        // it: row decoding is the CPU-heavy part of a scan, and holding the
-        // (pool-wide) lock through it would serialize concurrent sessions.
-        let img: Vec<u8> = ctx.pool.with_page(file, self.page, |buf| buf.to_vec())?;
-        let rows: Result<Vec<Row>> = HeapFile::page_tuples(&img)
-            .filter_map(|(_, t)| match split_version(t) {
-                Ok((xmin, xmax, rest)) => ctx.vis.sees(xmin, xmax).then(|| decode_row(rest, arity)),
-                Err(e) => Some(Err(e)),
-            })
-            .collect();
-        self.page_rows = rows?;
+        self.page_rows = read_visible_rows(
+            ctx.pool,
+            self.meta.heap.file_id(),
+            self.page,
+            self.meta.schema.len(),
+            &ctx.vis,
+        )?;
         self.page += 1;
         self.row_pos = 0;
         Ok(true)
@@ -665,31 +652,10 @@ impl Executor for SeqScanExec {
         &self.meta.schema
     }
 
-    fn next(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<Row>> {
-        let eval = ctx.eval_ctx();
-        loop {
-            if self.row_pos < self.page_rows.len() {
-                let row = std::mem::take(&mut self.page_rows[self.row_pos]);
-                self.row_pos += 1;
-                if let Some(f) = &self.filter {
-                    // ext_op_calls is counted inside `Expr::eval` (only
-                    // when the predicate actually contains an ExtOp).
-                    if !f.eval(&row, &eval)?.is_true() {
-                        continue;
-                    }
-                }
-                return Ok(Some(row));
-            }
-            if !self.load_page(ctx)? {
-                return Ok(None);
-            }
-        }
-    }
-
-    /// Native batch path: take whole page-sized runs of decoded rows and
-    /// evaluate the pushed-down filter once per run via `eval_batch` —
-    /// this is where ψ's per-batch memoization (constant phoneme
-    /// conversion, Myers mask) kicks in.
+    /// Take whole page-sized runs of decoded rows and evaluate the
+    /// pushed-down filter once per run via `eval_batch` — this is where
+    /// ψ's per-batch memoization (constant phoneme conversion, Myers
+    /// mask) kicks in.
     fn next_batch(&mut self, ctx: &ExecCtx<'_>, max: usize) -> Result<Option<Batch>> {
         let max = max.max(1);
         let eval = ctx.eval_ctx();
@@ -710,7 +676,7 @@ impl Executor for SeqScanExec {
                     return Ok(Some(Batch::new(out)));
                 }
             } else if !self.load_page(ctx)? {
-                return Ok((!out.is_empty()).then(|| Batch::new(out)));
+                return Ok(batch_of(out));
             }
         }
     }
@@ -780,7 +746,7 @@ impl ScanShared {
 /// Sound only under the gather node's protocol: the pointers come from an
 /// `ExecCtx` that the query thread keeps alive for the whole execution
 /// (the catalog read guard is held across it), and the gather node never
-/// lets its own lifetime end — `next`/`rescan`/`Drop` all funnel through
+/// lets its own lifetime end — `next_batch`/`rescan`/`Drop` all funnel through
 /// [`ParallelSeqScanExec::shutdown`], which blocks until every dispatched
 /// task has finished — while workers could still dereference them.
 struct ErasedCtx {
@@ -942,14 +908,8 @@ impl Executor for ParallelSeqScanExec {
         &self.meta.schema
     }
 
-    fn next(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<Row>> {
-        self.fill_buffer(ctx)?;
-        Ok(self.buffer.pop_front())
-    }
-
-    /// Native batch path: morsels already arrive as row batches from the
-    /// workers; hand them over wholesale (split only to honor `max`)
-    /// instead of re-serializing through per-row pops.
+    /// Morsels already arrive as row batches from the workers; hand them
+    /// over wholesale (split only to honor `max`).
     fn next_batch(&mut self, ctx: &ExecCtx<'_>, max: usize) -> Result<Option<Batch>> {
         self.fill_buffer(ctx)?;
         if self.buffer.is_empty() {
@@ -1022,23 +982,18 @@ fn scan_worker(
             a.morsels.add(1);
         }
         let mut batch = Vec::new();
-        let mut err = None;
-        for page in first..last {
-            if let Err(e) = scan_page_into(
-                pool,
-                file,
-                page,
-                arity,
-                &filter,
-                &eval,
-                &erased.vis,
-                &mut batch,
-            ) {
-                err = Some(e);
-                break;
+        // Each page's decoded rows are filtered in one `eval_batch` call,
+        // so the morsel loop reuses this thread's `DistanceBuffer` and the
+        // per-batch ψ memoization.
+        let scanned = (first..last).try_for_each(|page| {
+            let rows = read_visible_rows(pool, file, page, arity, &erased.vis)?;
+            match &filter {
+                Some(f) => batch.extend(filter_rows_batch(f, rows, &eval)?),
+                None => batch.extend(rows),
             }
-        }
-        if let Some(e) = err {
+            Ok(())
+        });
+        if let Err(e) = scanned {
             let _ = tx.send(Err(e));
             break;
         }
@@ -1055,54 +1010,30 @@ fn scan_worker(
     }
 }
 
-/// Decode one heap page and append the rows passing `filter` to `out`
-/// (the same copy-out-then-decode pattern as [`SeqScanExec::load_page`]).
+/// Copy one heap page out of the pool and decode the tuple versions `vis`
+/// sees.  The image is copied under the pool mutex and decoded outside it:
+/// row decoding is the CPU-heavy part of a scan, and holding the
+/// (pool-wide) lock through it would serialize concurrent sessions.
 ///
-/// With the batch spine enabled, the page's decoded rows are filtered in
-/// one `eval_batch` call — each worker's morsel loop thereby reuses its
-/// thread's `DistanceBuffer` and the per-batch ψ memoization instead of
-/// paying per-row dispatch.
-#[allow(clippy::too_many_arguments)]
-fn scan_page_into(
+/// Inlined because it runs once per page inside every scan worker's
+/// morsel loop; an out-of-line call measured slower on parallel ψ scans.
+#[inline]
+fn read_visible_rows(
     pool: &BufferPool,
     file: FileId,
     page: u32,
     arity: usize,
-    filter: &Option<Expr>,
-    eval: &EvalCtx<'_>,
     vis: &TxnVisibility,
-    out: &mut Vec<Row>,
-) -> Result<()> {
+) -> Result<Vec<Row>> {
     let img: Vec<u8> = pool.with_page(file, page, |buf| buf.to_vec())?;
-    match filter {
-        Some(f) if batch_enabled(eval.session) => {
-            let mut candidates = Vec::new();
-            for (_, tuple) in HeapFile::page_tuples(&img) {
-                let (xmin, xmax, rest) = split_version(tuple)?;
-                if !vis.sees(xmin, xmax) {
-                    continue;
-                }
-                candidates.push(decode_row(rest, arity)?);
-            }
-            out.extend(filter_rows_batch(f, candidates, eval)?);
-        }
-        _ => {
-            for (_, tuple) in HeapFile::page_tuples(&img) {
-                let (xmin, xmax, rest) = split_version(tuple)?;
-                if !vis.sees(xmin, xmax) {
-                    continue;
-                }
-                let row = decode_row(rest, arity)?;
-                if let Some(f) = filter {
-                    if !f.eval(&row, eval)?.is_true() {
-                        continue;
-                    }
-                }
-                out.push(row);
-            }
+    let mut rows = Vec::new();
+    for (_, tuple) in HeapFile::page_tuples(&img) {
+        let (xmin, xmax, rest) = split_version(tuple)?;
+        if vis.sees(xmin, xmax) {
+            rows.push(decode_row(rest, arity)?);
         }
     }
-    Ok(())
+    Ok(rows)
 }
 
 // -------------------------------------------------------------- IndexScan
@@ -1139,14 +1070,9 @@ impl IndexScanExec {
             pos: 0,
         }
     }
-}
 
-impl Executor for IndexScanExec {
-    fn schema(&self) -> &Schema {
-        &self.meta.schema
-    }
-
-    fn next(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<Row>> {
+    /// The next index-located row that is visible and passes the residual.
+    fn next_row(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<Row>> {
         if self.tids.is_none() {
             // Partitionable access methods (the M-tree) fan subtree probes
             // across the worker pool when the session allows ≥ 2 workers;
@@ -1206,6 +1132,16 @@ impl Executor for IndexScanExec {
             return Ok(Some(row));
         }
     }
+}
+
+impl Executor for IndexScanExec {
+    fn schema(&self) -> &Schema {
+        &self.meta.schema
+    }
+
+    fn next_batch(&mut self, ctx: &ExecCtx<'_>, max: usize) -> Result<Option<Batch>> {
+        fill_batch(max, || self.next_row(ctx))
+    }
 
     fn rescan(&mut self, _ctx: &ExecCtx<'_>) -> Result<()> {
         self.pos = 0;
@@ -1223,16 +1159,6 @@ struct FilterExec {
 impl Executor for FilterExec {
     fn schema(&self) -> &Schema {
         self.input.schema()
-    }
-
-    fn next(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<Row>> {
-        let eval = ctx.eval_ctx();
-        while let Some(row) = self.input.next(ctx)? {
-            if self.predicate.eval(&row, &eval)?.is_true() {
-                return Ok(Some(row));
-            }
-        }
-        Ok(None)
     }
 
     fn next_batch(&mut self, ctx: &ExecCtx<'_>, max: usize) -> Result<Option<Batch>> {
@@ -1266,27 +1192,13 @@ impl Executor for ProjectExec {
         &self.schema
     }
 
-    fn next(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<Row>> {
-        let eval = ctx.eval_ctx();
-        match self.input.next(ctx)? {
-            Some(row) => {
-                let mut out = Row::with_capacity(self.exprs.len());
-                for e in &self.exprs {
-                    out.push(e.eval(&row, &eval)?);
-                }
-                Ok(Some(out))
-            }
-            None => Ok(None),
-        }
-    }
-
     fn next_batch(&mut self, ctx: &ExecCtx<'_>, max: usize) -> Result<Option<Batch>> {
         let eval = ctx.eval_ctx();
         match self.input.next_batch(ctx, max)? {
             Some(batch) => {
                 // Evaluate each projection expression over the whole batch
                 // (column-at-a-time), then zip the columns back into rows.
-                let refs: Vec<&[Datum]> = batch.rows.iter().map(|r| r.as_slice()).collect();
+                let refs = batch.row_refs();
                 let mut cols = Vec::with_capacity(self.exprs.len());
                 for e in &self.exprs {
                     cols.push(e.eval_batch(&refs, &eval)?);
@@ -1318,6 +1230,9 @@ struct NlJoinExec {
     predicate: Option<Expr>,
     materialize: bool,
     schema: Schema,
+    outer_rows: RowCursor,
+    /// Reader over the inner side (when not `materialize`).
+    inner_rows: RowCursor,
     outer_row: Option<Row>,
     /// Materialized inner rows (when `materialize`).
     inner_buf: Option<Vec<Row>>,
@@ -1326,14 +1241,15 @@ struct NlJoinExec {
 }
 
 impl NlJoinExec {
-    fn advance_outer(&mut self, ctx: &ExecCtx<'_>) -> Result<bool> {
-        match self.outer.next(ctx)? {
+    fn advance_outer(&mut self, ctx: &ExecCtx<'_>, max: usize) -> Result<bool> {
+        match self.outer_rows.pull(self.outer.as_mut(), ctx, max)? {
             Some(row) => {
                 self.outer_row = Some(row);
                 if self.materialize {
                     self.inner_pos = 0;
                 } else {
                     self.inner.rescan(ctx)?;
+                    self.inner_rows.clear();
                 }
                 Ok(true)
             }
@@ -1344,7 +1260,7 @@ impl NlJoinExec {
         }
     }
 
-    fn next_inner(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<Row>> {
+    fn next_inner(&mut self, ctx: &ExecCtx<'_>, max: usize) -> Result<Option<Row>> {
         if self.materialize {
             let buf = self.inner_buf.as_ref().expect("materialized at start");
             if self.inner_pos < buf.len() {
@@ -1355,17 +1271,13 @@ impl NlJoinExec {
                 Ok(None)
             }
         } else {
-            self.inner.next(ctx)
+            self.inner_rows.pull(self.inner.as_mut(), ctx, max)
         }
     }
-}
 
-impl Executor for NlJoinExec {
-    fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    fn next(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<Row>> {
+    /// The next joined row passing the predicate; children are pulled in
+    /// batches of up to `max` rows.
+    fn next_row(&mut self, ctx: &ExecCtx<'_>, max: usize) -> Result<Option<Row>> {
         let eval = ctx.eval_ctx();
         if !self.started {
             self.started = true;
@@ -1378,7 +1290,7 @@ impl Executor for NlJoinExec {
                 })?;
                 self.inner_buf = Some(buf);
             }
-            if !self.advance_outer(ctx)? {
+            if !self.advance_outer(ctx, max)? {
                 return Ok(None);
             }
         }
@@ -1386,7 +1298,7 @@ impl Executor for NlJoinExec {
             if self.outer_row.is_none() {
                 return Ok(None);
             }
-            match self.next_inner(ctx)? {
+            match self.next_inner(ctx, max)? {
                 Some(inner_row) => {
                     let outer_row = self.outer_row.as_ref().expect("checked above");
                     let mut joined = Row::with_capacity(outer_row.len() + inner_row.len());
@@ -1401,18 +1313,30 @@ impl Executor for NlJoinExec {
                     return Ok(Some(joined));
                 }
                 None => {
-                    if !self.advance_outer(ctx)? {
+                    if !self.advance_outer(ctx, max)? {
                         return Ok(None);
                     }
                 }
             }
         }
     }
+}
+
+impl Executor for NlJoinExec {
+    fn schema(&self) -> &Schema {
+        &self.schema
+    }
+
+    fn next_batch(&mut self, ctx: &ExecCtx<'_>, max: usize) -> Result<Option<Batch>> {
+        fill_batch(max, || self.next_row(ctx, max))
+    }
 
     fn rescan(&mut self, ctx: &ExecCtx<'_>) -> Result<()> {
         self.outer.rescan(ctx)?;
+        self.outer_rows.clear();
         if !self.materialize {
             self.inner.rescan(ctx)?;
+            self.inner_rows.clear();
         }
         // The materialized buffer (if any) stays valid across rescans.
         self.started = false;
@@ -1433,17 +1357,16 @@ struct HashJoinExec {
     schema: Schema,
     /// Build table over the RIGHT input.
     table: Option<HashMap<Datum, Vec<Row>>>,
+    probe_rows: RowCursor,
     probe_row: Option<Row>,
     matches: Vec<Row>,
     match_pos: usize,
 }
 
-impl Executor for HashJoinExec {
-    fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    fn next(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<Row>> {
+impl HashJoinExec {
+    /// The next joined row passing the residual; the probe side is pulled
+    /// in batches of up to `max` rows.
+    fn next_row(&mut self, ctx: &ExecCtx<'_>, max: usize) -> Result<Option<Row>> {
         let eval = ctx.eval_ctx();
         if self.table.is_none() {
             let mut table: HashMap<Datum, Vec<Row>> = HashMap::new();
@@ -1471,7 +1394,7 @@ impl Executor for HashJoinExec {
                 }
                 return Ok(Some(joined));
             }
-            match self.left.next(ctx)? {
+            match self.probe_rows.pull(self.left.as_mut(), ctx, max)? {
                 Some(row) => {
                     let key = self.left_key.eval(&row, &eval)?;
                     self.matches = if key.is_null() {
@@ -1491,9 +1414,20 @@ impl Executor for HashJoinExec {
             }
         }
     }
+}
+
+impl Executor for HashJoinExec {
+    fn schema(&self) -> &Schema {
+        &self.schema
+    }
+
+    fn next_batch(&mut self, ctx: &ExecCtx<'_>, max: usize) -> Result<Option<Batch>> {
+        fill_batch(max, || self.next_row(ctx, max))
+    }
 
     fn rescan(&mut self, ctx: &ExecCtx<'_>) -> Result<()> {
         self.left.rescan(ctx)?;
+        self.probe_rows.clear();
         self.probe_row = None;
         self.matches.clear();
         self.match_pos = 0;
@@ -1588,7 +1522,7 @@ impl Executor for AggregateExec {
         &self.schema
     }
 
-    fn next(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<Row>> {
+    fn next_batch(&mut self, ctx: &ExecCtx<'_>, max: usize) -> Result<Option<Batch>> {
         if self.output.is_none() {
             let eval = ctx.eval_ctx();
             // group key -> (row count, one state per aggregate)
@@ -1632,13 +1566,7 @@ impl Executor for AggregateExec {
             self.pos = 0;
         }
         let out = self.output.as_ref().expect("computed above");
-        if self.pos < out.len() {
-            let row = out[self.pos].clone();
-            self.pos += 1;
-            Ok(Some(row))
-        } else {
-            Ok(None)
-        }
+        Ok(replay(out, &mut self.pos, max))
     }
 
     fn rescan(&mut self, _ctx: &ExecCtx<'_>) -> Result<()> {
@@ -1661,7 +1589,7 @@ impl Executor for SortExec {
         self.input.schema()
     }
 
-    fn next(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<Row>> {
+    fn next_batch(&mut self, ctx: &ExecCtx<'_>, max: usize) -> Result<Option<Batch>> {
         if self.buffered.is_none() {
             let eval = ctx.eval_ctx();
             let mut rows = Vec::new();
@@ -1705,13 +1633,7 @@ impl Executor for SortExec {
             self.pos = 0;
         }
         let buf = self.buffered.as_ref().expect("sorted above");
-        if self.pos < buf.len() {
-            let row = buf[self.pos].clone();
-            self.pos += 1;
-            Ok(Some(row))
-        } else {
-            Ok(None)
-        }
+        Ok(replay(buf, &mut self.pos, max))
     }
 
     fn rescan(&mut self, _ctx: &ExecCtx<'_>) -> Result<()> {
@@ -1730,19 +1652,6 @@ struct LimitExec {
 impl Executor for LimitExec {
     fn schema(&self) -> &Schema {
         self.input.schema()
-    }
-
-    fn next(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<Row>> {
-        if self.remaining == 0 {
-            return Ok(None);
-        }
-        match self.input.next(ctx)? {
-            Some(r) => {
-                self.remaining -= 1;
-                Ok(Some(r))
-            }
-            None => Ok(None),
-        }
     }
 
     fn next_batch(&mut self, ctx: &ExecCtx<'_>, max: usize) -> Result<Option<Batch>> {
@@ -1779,18 +1688,15 @@ impl Executor for ValuesExec {
         &self.schema
     }
 
-    fn next(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<Row>> {
-        if self.pos >= self.rows.len() {
-            return Ok(None);
-        }
+    fn next_batch(&mut self, ctx: &ExecCtx<'_>, max: usize) -> Result<Option<Batch>> {
         let eval = ctx.eval_ctx();
-        let exprs = &self.rows[self.pos];
-        self.pos += 1;
-        let mut row = Row::with_capacity(exprs.len());
-        for e in exprs {
-            row.push(e.eval(&[], &eval)?);
-        }
-        Ok(Some(row))
+        let end = self.rows.len().min(self.pos + max.max(1));
+        let rows = self.rows[self.pos..end]
+            .iter()
+            .map(|exprs| exprs.iter().map(|e| e.eval(&[], &eval)).collect())
+            .collect::<Result<Vec<Row>>>()?;
+        self.pos = end;
+        Ok(batch_of(rows))
     }
 
     fn rescan(&mut self, _ctx: &ExecCtx<'_>) -> Result<()> {

@@ -89,8 +89,7 @@ impl CostParams {
     /// Effective per-tuple CPU cost when the scan spine emits batches of
     /// `batch_size` rows: the dispatch share collapses to one payment
     /// per batch.  `batch_size == 1` reproduces the row-at-a-time cost
-    /// exactly, so `SET enable_batch = 0` / `batch_size = 1` plans cost
-    /// the same as before the batch spine existed.
+    /// exactly.
     pub fn batch_tuple_cost(&self, batch_size: usize) -> f64 {
         let dispatch = self.cpu_tuple_cost * Self::DISPATCH_FRACTION;
         (self.cpu_tuple_cost - dispatch) + dispatch / (batch_size.max(1) as f64)

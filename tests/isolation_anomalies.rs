@@ -16,9 +16,9 @@ use std::collections::BTreeMap;
 
 /// Worker counts × batch modes every read-side assertion is re-checked
 /// at: snapshot semantics must be identical through the serial executor,
-/// the morsel-parallel gather, and the batch spine.
+/// the morsel-parallel gather, and one-row as well as full batches.
 const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
-const BATCH_MODES: [&str; 2] = ["SET enable_batch = 0", "SET enable_batch = 1"];
+const BATCH_MODES: [&str; 2] = ["SET batch_size = 1", "SET batch_size = 1024"];
 
 fn plain_db() -> Database {
     Database::new_in_memory()

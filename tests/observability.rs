@@ -725,8 +725,8 @@ fn flight_recorder_respects_slow_query_ms_threshold() {
 /// under the session batch size (ceil(rows/batch_size) ≤ batches ≤ rows,
 /// since producers never emit empty or oversized batches), the query-level
 /// trailer and RunStats carry the root batch count, flight-recorder
-/// records persist it, and `SET enable_batch = 0` pins every counter to
-/// zero without changing row counts.
+/// records persist it, and `SET batch_size = 1` makes every node emit
+/// one batch per row without changing row counts.
 #[test]
 fn explain_analyze_batch_counters_reconcile_with_rows() {
     let mut db = db();
@@ -803,21 +803,22 @@ fn explain_analyze_batch_counters_reconcile_with_rows() {
         "{rec}"
     );
 
-    // Row mode zeroes every batch counter but leaves rows identical.
-    db.execute("SET enable_batch = 0").unwrap();
+    // One-row batches: every node that produced rows emitted exactly one
+    // batch per row, and the scan's row count is unchanged.
+    db.execute("SET batch_size = 1").unwrap();
     let r2 = db.execute(sql).unwrap();
     let text2 = r2.explain.expect("explain text");
     let nodes2 = node_actuals(&text2);
-    for (_, line) in &nodes2 {
-        assert_eq!(batches_of(line), 0, "row mode: {line}");
+    for (rows, line) in &nodes2 {
+        if *rows > 0 {
+            assert_eq!(batches_of(line), *rows, "batch_size = 1: {line}");
+        }
     }
     let (scan_rows2, _) = nodes2
         .iter()
         .find(|(_, l)| l.contains("Seq Scan on names"))
         .expect("scan node");
-    assert_eq!(scan_rows2, scan_rows, "row/batch modes agree on rows");
-    assert!(text2.contains(" batches=0 "), "{text2}");
-    assert_eq!(r2.stats.batches, 0);
+    assert_eq!(scan_rows2, scan_rows, "batch sizes agree on rows");
 }
 
 /// Wait-event instrumentation: contended catalog acquisition surfaces in

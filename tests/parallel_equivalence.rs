@@ -7,11 +7,14 @@
 //! property test then fuzzes random multilingual tables and thresholds
 //! across the serial/parallel planner boundary (the ≥ 1024-row gate).
 
-use mlql::kernel::{Database, Error};
+use mlql::kernel::{Database, Datum, Error};
 use mlql::mural::install;
-use mlql::mural::types::unitext_datum;
+use mlql::mural::types::{phoneme_slice, unitext_datum};
+use mlql::phonetics::distance::edit_distance;
+use mlql::taxonomy::closure::compute_closure;
 use mlql::unitext::UniText;
 use proptest::prelude::*;
+use std::collections::HashSet;
 
 /// Worker counts every query shape is checked at.  1 is the serial
 /// reference; 2 and 4 exercise real fan-out.
@@ -139,8 +142,6 @@ fn omega_closure_probes_equivalent() {
     let (mut db, mural) = db();
     // A docs table big enough to cross the parallel gate, categorized by
     // words drawn from the installed Books taxonomy.
-    db.execute("CREATE TABLE docs (id INT, category UNITEXT)")
-        .unwrap();
     let cats = [
         ("History", "English"),
         ("Biography", "English"),
@@ -149,19 +150,7 @@ fn omega_closure_probes_equivalent() {
         ("Histoire", "French"),
         ("சரித்திரம்", "Tamil"),
     ];
-    for i in 0..1400i64 {
-        let (w, l) = cats[i as usize % cats.len()];
-        let v = UniText::compose(w, mural.langs.id_of(l));
-        db.insert_row(
-            "docs",
-            vec![
-                mlql::kernel::Datum::Int(i),
-                unitext_datum(mural.unitext_type, &v),
-            ],
-        )
-        .unwrap();
-    }
-    db.execute("ANALYZE docs").unwrap();
+    load_docs(&mut db, &mural, &cats, 1400);
     for rhs in ["History", "Biography", "Fiction"] {
         assert_equivalent(
             &db,
@@ -231,34 +220,112 @@ fn limit_and_max_rows_semantics_preserved() {
 /// degenerate one-row batch, a small batch, the default, and the cap.
 const BATCH_SIZES: [usize; 4] = [1, 64, 1024, 4096];
 
-/// The batch spine must be invisible in the results: for ψ scans, Ω
-/// probes, projections and aggregates, every (workers × batch_size)
-/// combination returns exactly the serial *row-mode* result set
-/// (`enable_batch = 0` is the pre-batch executor, our reference).
+/// The phoneme string materialized in a UniText datum (empty if none).
+fn phonemes(d: &Datum) -> &[u8] {
+    match d {
+        Datum::Ext { bytes, .. } => phoneme_slice(bytes).unwrap_or(&[]),
+        _ => &[],
+    }
+}
+
+/// ψ computed in the test, never by the engine's operators: the `names`
+/// whose phoneme strings lie within full-DP edit distance `k` of the
+/// English probe's, stringified and sorted like [`sorted_rows`] does.
+fn psi_oracle(names: &[Datum], mural: &mlql::mural::Mural, probe: &str, k: usize) -> Vec<String> {
+    let probe = mural.unitext(probe, "English").unwrap();
+    let q = phonemes(&probe);
+    let mut out: Vec<String> = names
+        .iter()
+        .filter(|name| edit_distance(phonemes(name), q) <= k)
+        .map(|name| name.to_string())
+        .collect();
+    out.sort();
+    out
+}
+
+/// Ω computed in the test from `compute_closure`: the ids of `docs`
+/// whose category names a synset in the closure of a synset `rhs` names.
+fn omega_oracle(mural: &mlql::mural::Mural, docs: &[(i64, UniText)], rhs: &str) -> Vec<String> {
+    let taxonomy = mural.sem.taxonomy();
+    let en = mural.langs.id_of("English");
+    let closure: HashSet<_> = mural
+        .sem
+        .synsets_of(&UniText::compose(rhs, en))
+        .into_iter()
+        .flat_map(|root| compute_closure(&taxonomy, root))
+        .collect();
+    let mut out: Vec<String> = docs
+        .iter()
+        .filter(|(_, v)| mural.sem.synsets_of(v).iter().any(|s| closure.contains(s)))
+        .map(|(id, _)| id.to_string())
+        .collect();
+    out.sort();
+    out
+}
+
+/// Insert `n` docs rows cycling through `cats`; returns each row's
+/// `(id, category)` for the Ω oracle.
+fn load_docs(
+    db: &mut Database,
+    mural: &mlql::mural::Mural,
+    cats: &[(&str, &str)],
+    n: i64,
+) -> Vec<(i64, UniText)> {
+    db.execute("CREATE TABLE docs (id INT, category UNITEXT)")
+        .unwrap();
+    let mut docs = Vec::new();
+    for i in 0..n {
+        let (w, l) = cats[i as usize % cats.len()];
+        let v = UniText::compose(w, mural.langs.id_of(l));
+        db.insert_row(
+            "docs",
+            vec![Datum::Int(i), unitext_datum(mural.unitext_type, &v)],
+        )
+        .unwrap();
+        docs.push((i, v));
+    }
+    db.execute("ANALYZE docs").unwrap();
+    docs
+}
+
+/// The batch spine must be invisible in the results: for ψ scans,
+/// projections and aggregates, every (workers × batch_size) combination
+/// returns exactly the result computed by [`psi_oracle`].
 #[test]
-fn batch_mode_results_pinned_to_row_mode() {
+fn batch_mode_results_match_psi_oracle() {
     let (mut db, mural) = db();
     load_names(&mut db, &mural, "names", 1500, 11);
+    let names: Vec<Datum> = db
+        .connect()
+        .query("SELECT name FROM names")
+        .unwrap()
+        .into_iter()
+        .map(|mut row| row.remove(0))
+        .collect();
+    let nehru = psi_oracle(&names, &mural, "Nehru", 2);
+    let gandhi = psi_oracle(&names, &mural, "Gandhi", 2);
+    assert!(!nehru.is_empty(), "probe must select something");
+    let mut all: Vec<String> = names.iter().map(|name| name.to_string()).collect();
+    all.sort();
     let queries = [
-        "SELECT name FROM names WHERE name LEXEQUAL unitext('Nehru','English')".to_string(),
-        "SELECT count(*) FROM names WHERE name LEXEQUAL unitext('Gandhi','English')".to_string(),
-        "SELECT name FROM names".to_string(),
+        (
+            "SELECT name FROM names WHERE name LEXEQUAL unitext('Nehru','English')",
+            nehru,
+        ),
+        (
+            "SELECT count(*) FROM names WHERE name LEXEQUAL unitext('Gandhi','English')",
+            vec![gandhi.len().to_string()],
+        ),
+        ("SELECT name FROM names", all),
     ];
-    for sql in &queries {
+    for (sql, reference) in &queries {
         let threshold = "SET lexequal.threshold = 2";
-        let reference = sorted_rows(&db, 1, &[threshold, "SET enable_batch = 0"], sql);
         for &w in &WORKER_COUNTS {
-            // Row mode at every worker count agrees with serial row mode.
-            let row_mode = sorted_rows(&db, w, &[threshold, "SET enable_batch = 0"], sql);
-            assert_eq!(
-                row_mode, reference,
-                "row mode diverged at workers={w}: {sql}"
-            );
             for &b in &BATCH_SIZES {
                 let setup = format!("SET batch_size = {b}");
                 let got = sorted_rows(&db, w, &[threshold, &setup], sql);
                 assert_eq!(
-                    got, reference,
+                    &got, reference,
                     "batch mode diverged at workers={w} batch_size={b}: {sql}"
                 );
             }
@@ -267,33 +334,19 @@ fn batch_mode_results_pinned_to_row_mode() {
 }
 
 /// Ω probes through the batch entry point (distinct-value memo, shared
-/// closure resolved once per batch) match row-mode results too.
+/// closure resolved once per batch) match the [`omega_oracle`] too.
 #[test]
-fn omega_batch_results_pinned_to_row_mode() {
+fn omega_batch_results_match_closure_oracle() {
     let (mut db, mural) = db();
-    db.execute("CREATE TABLE docs (id INT, category UNITEXT)")
-        .unwrap();
     let cats = [
         ("History", "English"),
         ("Biography", "English"),
         ("Fiction", "English"),
         ("Histoire", "French"),
     ];
-    for i in 0..1200i64 {
-        let (w, l) = cats[i as usize % cats.len()];
-        let v = UniText::compose(w, mural.langs.id_of(l));
-        db.insert_row(
-            "docs",
-            vec![
-                mlql::kernel::Datum::Int(i),
-                unitext_datum(mural.unitext_type, &v),
-            ],
-        )
-        .unwrap();
-    }
-    db.execute("ANALYZE docs").unwrap();
+    let docs = load_docs(&mut db, &mural, &cats, 1200);
     let sql = "SELECT id FROM docs WHERE category SEMEQUAL unitext('History','English')";
-    let reference = sorted_rows(&db, 1, &["SET enable_batch = 0"], sql);
+    let reference = omega_oracle(&mural, &docs, "History");
     assert!(!reference.is_empty(), "probe must select something");
     for &w in &WORKER_COUNTS {
         for &b in &BATCH_SIZES {
@@ -434,15 +487,13 @@ proptest! {
 }
 
 /// The interval-labeled Ω containment index is invisible in the results:
-/// every (workers × batch on/off) combination returns byte-identical row
-/// sets with `enable_omega_intervals` on and off — including after a
+/// every (workers × batch size) combination returns the [`omega_oracle`]
+/// row set with `enable_omega_intervals` on and off — including after a
 /// taxonomy mutation grafts a multi-parent (exception) edge, the shape
 /// that forces the index onto its closure-fallback path.
 #[test]
 fn omega_interval_strategy_equivalent() {
     let (mut db, mural) = db();
-    db.execute("CREATE TABLE docs (id INT, category UNITEXT)")
-        .unwrap();
     let cats = [
         ("History", "English"),
         ("Biography", "English"),
@@ -451,32 +502,15 @@ fn omega_interval_strategy_equivalent() {
         ("Histoire", "French"),
         ("சரித்திரம்", "Tamil"),
     ];
-    for i in 0..1400i64 {
-        let (w, l) = cats[i as usize % cats.len()];
-        let v = UniText::compose(w, mural.langs.id_of(l));
-        db.insert_row(
-            "docs",
-            vec![
-                mlql::kernel::Datum::Int(i),
-                unitext_datum(mural.unitext_type, &v),
-            ],
-        )
-        .unwrap();
-    }
-    db.execute("ANALYZE docs").unwrap();
+    let docs = load_docs(&mut db, &mural, &cats, 1400);
 
     let check_all = |db: &Database| {
         for rhs in ["History", "Biography", "Fiction"] {
             let sql =
                 format!("SELECT id FROM docs WHERE category SEMEQUAL unitext('{rhs}','English')");
-            let reference = sorted_rows(
-                db,
-                1,
-                &["SET enable_omega_intervals = 0", "SET enable_batch = 0"],
-                &sql,
-            );
+            let reference = omega_oracle(&mural, &docs, rhs);
             for &w in &WORKER_COUNTS {
-                for batch in ["SET enable_batch = 0", "SET enable_batch = 1"] {
+                for batch in ["SET batch_size = 1", "SET batch_size = 1024"] {
                     for intervals in [
                         "SET enable_omega_intervals = 0",
                         "SET enable_omega_intervals = 1",
