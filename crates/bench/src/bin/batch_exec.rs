@@ -17,7 +17,7 @@
 use mlql_bench::report::Report;
 use mlql_bench::{load_names_table, mural_db, scale, timed};
 use mlql_kernel::exec::default_batch_size;
-use mlql_kernel::Database;
+use mlql_kernel::Session;
 
 /// Interleaved rounds; each arm keeps its per-round minimum.
 const ROUNDS: usize = 5;
@@ -30,7 +30,7 @@ const PROBES: &[(&str, &str)] = &[
     ("Krishnan", "English"),
 ];
 
-fn psi_scan_secs(db: &mut Database) -> f64 {
+fn psi_scan_secs(db: &mut Session) -> f64 {
     let (_, secs) = timed(|| {
         for (name, lang) in PROBES {
             db.execute(&format!(
@@ -42,7 +42,7 @@ fn psi_scan_secs(db: &mut Database) -> f64 {
     secs / PROBES.len() as f64
 }
 
-fn omega_scan_secs(db: &mut Database) -> f64 {
+fn omega_scan_secs(db: &mut Session) -> f64 {
     let (_, secs) = timed(|| {
         db.execute(
             "SELECT count(*) FROM docs WHERE category SEMEQUAL unitext('History','English')",
@@ -53,7 +53,7 @@ fn omega_scan_secs(db: &mut Database) -> f64 {
 }
 
 /// Put the session into one of the three arms.
-fn arm(db: &mut Database, batch: bool, myers: bool) {
+fn arm(db: &mut Session, batch: bool, myers: bool) {
     db.execute(&format!(
         "SET batch_size = {}",
         if batch { default_batch_size() } else { 1 }

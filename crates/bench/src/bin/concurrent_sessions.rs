@@ -8,8 +8,9 @@
 
 use mlql_bench::report::{obj, Report, Value};
 use mlql_bench::{load_names_table, mural_db, scale};
-use mlql_kernel::obs;
+use mlql_kernel::{obs, Engine, Session};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// One reader's query mix: two ψ point lookups and an Ω category lookup —
@@ -20,9 +21,9 @@ const QUERIES: [&str; 3] = [
     "SELECT count(*) FROM concepts WHERE c SEMEQUAL unitext('History','English')",
 ];
 
-fn run_config(db: &mlql_kernel::Database, sessions: usize, secs: f64) -> (u64, f64) {
+fn run_config(engine: &Arc<Engine>, sessions: usize, secs: f64) -> (u64, f64) {
     let stop = AtomicBool::new(false);
-    let workers: Vec<_> = (0..sessions).map(|_| db.connect()).collect();
+    let workers: Vec<_> = (0..sessions).map(|_| engine.connect()).collect();
     let start = Instant::now();
     let total: u64 = std::thread::scope(|scope| {
         let stop = &stop;
@@ -54,7 +55,7 @@ fn run_config(db: &mlql_kernel::Database, sessions: usize, secs: f64) -> (u64, f
 /// even on a single-CPU host where thread scaling is capped.  Uses a
 /// B+Tree point lookup so execution is a few microseconds and the planning
 /// fraction is visible.
-fn plan_cache_speedup(db: &mut mlql_kernel::Database, iters: usize) -> (f64, f64) {
+fn plan_cache_speedup(db: &mut Session, iters: usize) -> (f64, f64) {
     use mlql_kernel::Datum;
     db.execute("CREATE TABLE ids (id INT)").unwrap();
     for i in 0..10_000 {
@@ -114,7 +115,7 @@ fn main() {
     let mut rows = Vec::new();
     let mut qps_at = std::collections::HashMap::new();
     for sessions in [1usize, 2, 4] {
-        let (total, qps) = run_config(&db, sessions, measure_secs);
+        let (total, qps) = run_config(db.engine(), sessions, measure_secs);
         println!("sessions={sessions}: {total} queries, {qps:.0} q/s");
         qps_at.insert(sessions, qps);
         rows.push(obj(vec![

@@ -42,7 +42,7 @@ fn main() {
         db.execute(&format!("CREATE TABLE r (name UNITEXT{filler_ddl})"))
             .unwrap();
         let pad = "x".repeat(q.filler_width);
-        let load = |db: &mut mlql_kernel::Database, table: &str, rows: usize, seed: u64| {
+        let load = |db: &mut mlql_kernel::Session, table: &str, rows: usize, seed: u64| {
             let data = names_dataset(
                 &mural.langs,
                 &NamesConfig {
@@ -112,7 +112,7 @@ fn main() {
         .iter()
         .enumerate()
     {
-        let mut db = mlql_kernel::Database::new_in_memory();
+        let engine = mlql_kernel::Engine::in_memory();
         let synsets = 5000 * scale();
         let langs = mlql_unitext::LanguageRegistry::new();
         let taxonomy = mlql_taxonomy::generate(
@@ -122,7 +122,8 @@ fn main() {
                 ..Default::default()
             },
         );
-        let mural = mlql_mural::install_with_taxonomy(&mut db, taxonomy).unwrap();
+        let mural = mlql_mural::install_with_taxonomy(&engine, taxonomy).unwrap();
+        let mut db = engine.connect();
         db.execute("CREATE TABLE docs (category UNITEXT)").unwrap();
         db.execute("CREATE TABLE concepts (name UNITEXT)").unwrap();
         let taxonomy = mural.sem.taxonomy();

@@ -46,7 +46,7 @@ fn main() {
     println!("# Ω containment: interval index vs cold-cache closure walk");
     println!("# taxonomy: {synsets} synsets (tree-shaped); docs: {n_docs} rows");
 
-    let mut db = mlql_kernel::Database::new_in_memory();
+    let engine = mlql_kernel::Engine::in_memory();
     let langs = mlql_unitext::LanguageRegistry::new();
     let en = langs.id_of("English");
     let taxonomy = generate(
@@ -57,7 +57,8 @@ fn main() {
         },
     );
     let picks = synsets_near_closure_sizes(&taxonomy, &targets);
-    let mural = mlql_mural::install_with_taxonomy(&mut db, taxonomy).unwrap();
+    let mural = mlql_mural::install_with_taxonomy(&engine, taxonomy).unwrap();
+    let mut db = engine.connect();
     let taxonomy = mural.sem.taxonomy();
 
     db.execute("CREATE TABLE docs (category UNITEXT)").unwrap();

@@ -9,15 +9,16 @@
 use mlql_bench::report::{obj, Report, Value};
 use mlql_bench::{load_names_table, mural_db, scale, timed};
 use mlql_kernel::obs;
-use mlql_kernel::{Database, Error};
+use mlql_kernel::{Engine, Error};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Commit-only loop: each session owns a private key range, so every
 /// transaction commits.  Returns (committed txns, txns/s).
-fn run_commit_config(db: &Database, sessions: usize, secs: f64) -> (u64, f64) {
+fn run_commit_config(engine: &Arc<Engine>, sessions: usize, secs: f64) -> (u64, f64) {
     let stop = AtomicBool::new(false);
-    let workers: Vec<_> = (0..sessions).map(|_| db.connect()).collect();
+    let workers: Vec<_> = (0..sessions).map(|_| engine.connect()).collect();
     let start = Instant::now();
     let total: u64 = std::thread::scope(|scope| {
         let stop = &stop;
@@ -53,9 +54,9 @@ fn run_commit_config(db: &Database, sessions: usize, secs: f64) -> (u64, f64) {
 
 /// Contention loop: every session updates the same `hot` keys, so
 /// first-updater-wins aborts the laggards.  Returns (commits, aborts).
-fn run_conflict_config(db: &Database, sessions: usize, hot: u64, secs: f64) -> (u64, u64) {
+fn run_conflict_config(engine: &Arc<Engine>, sessions: usize, hot: u64, secs: f64) -> (u64, u64) {
     let stop = AtomicBool::new(false);
-    let workers: Vec<_> = (0..sessions).map(|_| db.connect()).collect();
+    let workers: Vec<_> = (0..sessions).map(|_| engine.connect()).collect();
     std::thread::scope(|scope| {
         let stop = &stop;
         let handles: Vec<_> = workers
@@ -95,8 +96,8 @@ fn run_conflict_config(db: &Database, sessions: usize, hot: u64, secs: f64) -> (
 }
 
 /// Mean latency (seconds) of `iters` back-to-back ψ scans from one session.
-fn psi_scan_latency(db: &Database, sql: &str, iters: usize) -> f64 {
-    let mut s = db.connect();
+fn psi_scan_latency(engine: &Arc<Engine>, sql: &str, iters: usize) -> f64 {
+    let mut s = engine.connect();
     s.execute("SET lexequal.threshold = 2").unwrap();
     s.query(sql).unwrap(); // warm plan cache + buffers
     let (_, secs) = timed(|| {
@@ -130,7 +131,7 @@ fn main() {
     let mut rows = Vec::new();
     let mut tps_at = std::collections::HashMap::new();
     for sessions in [1usize, 2, 4] {
-        let (total, tps) = run_commit_config(&db, sessions, measure_secs);
+        let (total, tps) = run_commit_config(db.engine(), sessions, measure_secs);
         println!("sessions={sessions}: {total} committed txns, {tps:.0} txn/s");
         tps_at.insert(sessions, tps);
         rows.push(obj(vec![
@@ -142,7 +143,7 @@ fn main() {
 
     // --- conflict-abort rate on a hot set ----------------------------
     let conflicts_before = metrics.txn_conflicts_total.get();
-    let (commits, aborts) = run_conflict_config(&db, 4, 8, measure_secs);
+    let (commits, aborts) = run_conflict_config(db.engine(), 4, 8, measure_secs);
     let abort_rate = aborts as f64 / (commits + aborts).max(1) as f64;
     let conflict_delta = metrics.txn_conflicts_total.get() - conflicts_before;
     println!(
@@ -152,11 +153,11 @@ fn main() {
 
     // --- read-only ψ scan latency: idle vs open write txn ------------
     let psi = "SELECT count(*) FROM names WHERE name LEXEQUAL unitext('Nehru','English')";
-    let idle = psi_scan_latency(&db, psi, scan_iters);
+    let idle = psi_scan_latency(db.engine(), psi, scan_iters);
     // A writer parks on an open transaction with uncommitted lexicon
     // inserts; the reader's scans must neither block nor slow down —
     // snapshot visibility filters the in-flight versions for free.
-    let mut writer = db.connect();
+    let mut writer = db.engine().connect();
     writer.execute("BEGIN").unwrap();
     for i in 0..50 {
         writer
@@ -165,7 +166,7 @@ fn main() {
             ))
             .unwrap();
     }
-    let with_writer = psi_scan_latency(&db, psi, scan_iters);
+    let with_writer = psi_scan_latency(db.engine(), psi, scan_iters);
     writer.execute("ROLLBACK").unwrap();
     let overhead = with_writer / idle;
     println!(

@@ -18,7 +18,7 @@ use crate::error::{Error, Result};
 use crate::index::{AccessMethod, BTreeAm, IndexInstance};
 use crate::schema::Schema;
 use crate::storage::HeapFile;
-use crate::value::ExtTypeId;
+use crate::value::{Datum, ExtTypeId};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -66,6 +66,9 @@ pub struct Catalog {
     operators: registry::OperatorRegistry,
     functions: registry::FunctionRegistry,
     access_methods: HashMap<String, Arc<dyn AccessMethod>>,
+    /// Extension session defaults (the paper keeps the ψ threshold in a
+    /// system table, §4.2); every new session starts from a copy.
+    session_defaults: SessionVars,
 }
 
 impl Default for Catalog {
@@ -87,6 +90,7 @@ impl Catalog {
             operators: registry::OperatorRegistry::new(),
             functions: registry::FunctionRegistry::new(),
             access_methods,
+            session_defaults: SessionVars::new(),
         };
         // Built-in observability functions: engine metrics as JSON /
         // Prometheus text (`SELECT mlql_stats()`); the SQL analogue of
@@ -353,6 +357,17 @@ impl Catalog {
     /// Names of all registered extension operators.
     pub fn operator_names(&self) -> Vec<&str> {
         self.operators.names()
+    }
+
+    /// Register a session variable default (e.g. `lexequal.threshold`);
+    /// sessions opened afterwards start with it set.
+    pub fn set_session_default(&mut self, name: &str, value: Datum) {
+        self.session_defaults.set(name, value);
+    }
+
+    /// The defaults every new session's variables are seeded from.
+    pub fn session_defaults(&self) -> &SessionVars {
+        &self.session_defaults
     }
 
     /// Register a scalar function (e.g. `unitext(text, text)`).

@@ -2,8 +2,8 @@
 //!
 //! The paper's argument is that multilingual operators belong *inside* the
 //! engine so they run at relational speeds; an engine that serves one
-//! client at a time undercuts that claim.  This module splits the old
-//! `Database` monolith in two:
+//! client at a time undercuts that claim.  So the engine comes in two
+//! parts:
 //!
 //! * [`Engine`] — everything shared between connections: the catalog
 //!   (behind an `RwLock` so DDL excludes readers but readers run in
@@ -12,6 +12,10 @@
 //! * [`Session`] — one connection's state: its [`SessionVars`], statement
 //!   execution, and trace spans.  Sessions are cheap (`Engine::connect`)
 //!   and `Send`, so `N` threads each own one and query concurrently.
+//!
+//! [`Engine::in_memory`] and [`Engine::open`] (durable, with WAL recovery;
+//! see the `recovery` submodule) are the only ways in: every caller holds
+//! an `Arc<Engine>` and runs statements through its own sessions.
 //!
 //! ## Lock hierarchy
 //!
@@ -54,11 +58,10 @@ use crate::obs::{self, QueryTrace, Stage, WaitClass, WaitProfile};
 use crate::opt;
 use crate::plan::{NodeActuals, PhysNode};
 use crate::schema::{Column, Row, Schema};
-use crate::snapshot::{self, Snapshot};
 use crate::sql::{self, Statement};
 use crate::storage::{
     decode_row, encode_row, encode_version, split_version, BufferPool, HeapFile, IoStats,
-    MemBackend, SharedWal, StorageBackend, SyncMode, WalRecord, FROZEN_TXN_ID, VERSION_HEADER_LEN,
+    MemBackend, SharedWal, StorageBackend, SyncMode, WalRecord, VERSION_HEADER_LEN,
 };
 use crate::txn::{TransactionManager, TxnSnapshot, TxnVisibility, INVALID_TXN_ID};
 use crate::value::{DataType, Datum};
@@ -68,6 +71,8 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
+
+mod recovery;
 
 /// Per-statement runtime statistics.
 #[derive(Debug, Clone, Default)]
@@ -320,11 +325,13 @@ impl Engine {
         }
     }
 
-    /// Open a new session against this engine.  `vars` seeds the session's
-    /// variables (extensions may have installed defaults on a template
-    /// session).
-    pub fn connect_with_vars(self: &Arc<Self>, vars: SessionVars) -> Session {
+    /// Open a new session against this engine.  Its variables start from
+    /// the catalog's session defaults (extensions register theirs at
+    /// install, e.g. `lexequal.threshold`), read under a brief catalog
+    /// read guard — so never connect while holding [`Engine::catalog_mut`].
+    pub fn connect(self: &Arc<Self>) -> Session {
         obs::metrics().sessions_opened_total.inc();
+        let vars = self.catalog().session_defaults().clone();
         let session_id = self.next_session_id.fetch_add(1, Ordering::Relaxed);
         let slot = Arc::new(obs::ActivitySlot::new(self.engine_id, session_id));
         obs::activity::register(&slot);
@@ -335,11 +342,6 @@ impl Engine {
             slot,
             txn: None,
         }
-    }
-
-    /// Open a new session with empty session variables.
-    pub fn connect(self: &Arc<Self>) -> Session {
-        self.connect_with_vars(SessionVars::new())
     }
 
     /// Shared catalog access.  Uncontended reads take the try-lock fast
@@ -454,113 +456,12 @@ impl Engine {
         }
         Ok(())
     }
-
-    /// Checkpoint: vacuum-freeze the heaps, flush dirty pages, persist a
-    /// catalog snapshot plus copies of the heap files under the database
-    /// root, then truncate the WAL.  Recovery restores from the snapshot
-    /// and replays only the WAL tail, so reopen cost is bounded by
-    /// post-checkpoint activity.
-    ///
-    /// The vacuum physically deletes versions dead to a fresh snapshot
-    /// (aborted inserts, committed deletes) and freezes every survivor to
-    /// `xmin = FROZEN_TXN_ID, xmax = 0` — the snapshot's heap copies must
-    /// not reference transaction ids, because recovery starts a fresh
-    /// [`TransactionManager`] whose id space restarts at 2.  That is only
-    /// sound when no transaction is in flight, so a checkpoint with open
-    /// transactions fails up front.
-    ///
-    /// In-memory engines (and WAL-only setups without a root) just flush.
-    pub fn checkpoint(&self) -> Result<()> {
-        let Some(d) = self.durability.get() else {
-            self.pool.flush_all()?;
-            return Ok(());
-        };
-        let Some(root) = &d.root else {
-            self.pool.flush_all()?;
-            return Ok(());
-        };
-        if self.txns.has_active() {
-            return Err(Error::Execution(
-                "checkpoint requires no open transactions (vacuum would remove \
-                 versions their snapshots still see)"
-                    .into(),
-            ));
-        }
-        // Quiesce writers: DML lock first, then the catalog guard — the
-        // same order every DML statement uses.  The *write* guard (unlike
-        // the read guard the pre-MVCC checkpoint took) also drains running
-        // readers, so the vacuum below cannot rewrite version headers
-        // under a scan that has already captured its snapshot.  DDL
-        // (which takes the catalog write lock without the DML lock)
-        // blocks here too, so nothing can append to the WAL between the
-        // `sync_now` that fixes the snapshot LSN and the truncation.
-        let _writer = self.dml_lock.lock();
-        let catalog = self.catalog.write();
-        self.vacuum_in(&catalog)?;
-        self.txns.clear_aborted();
-        let flushed = self.pool.flush_all()?;
-        let lsn = d.wal.sync_now()?;
-        let snap = Snapshot::capture(&catalog, lsn)?;
-        snapshot::write_checkpoint(root, &snap)?;
-        // The pointer is durable: every record ≤ lsn is covered by the
-        // snapshot and the log can be emptied.  (A crash right here leaves
-        // the old log in place; recovery skips records ≤ the snapshot LSN.)
-        d.wal.truncate()?;
-        let m = obs::metrics();
-        m.checkpoints_total.inc();
-        m.checkpoint_pages_flushed_total.add(flushed);
-        Ok(())
-    }
-
-    /// Checkpoint vacuum: physically delete heap versions invisible to a
-    /// fresh snapshot and freeze the survivors.  Caller holds the DML
-    /// lock and the catalog write guard, and has verified no transaction
-    /// is in flight.  Index entries for deleted versions are left behind
-    /// on purpose — heap slots are never reused, so a stale entry just
-    /// resolves to a missing tuple and is skipped by the scan.
-    fn vacuum_in(&self, catalog: &Catalog) -> Result<()> {
-        let vis = self.fresh_visibility();
-        let frozen_header = encode_version(FROZEN_TXN_ID, INVALID_TXN_ID, &[]);
-        for meta in catalog.tables() {
-            let mut dead = Vec::new();
-            let mut freeze = Vec::new();
-            let mut scan_err = None;
-            meta.heap.scan(&self.pool, |tid, bytes| {
-                match split_version(bytes) {
-                    Ok((xmin, xmax, _)) => {
-                        if vis.sees(xmin, xmax) {
-                            if xmin != FROZEN_TXN_ID || xmax != INVALID_TXN_ID {
-                                freeze.push(tid);
-                            }
-                        } else {
-                            dead.push(tid);
-                        }
-                    }
-                    Err(e) => {
-                        scan_err = Some(e);
-                        return false;
-                    }
-                }
-                true
-            })?;
-            if let Some(e) = scan_err {
-                return Err(e);
-            }
-            for tid in freeze {
-                meta.heap.patch(&self.pool, tid, 0, &frozen_header)?;
-            }
-            for tid in dead {
-                meta.heap.delete(&self.pool, tid)?;
-            }
-        }
-        Ok(())
-    }
 }
 
 /// Durability attachments of an engine (absent for in-memory engines).
 struct Durability {
     wal: Arc<SharedWal>,
-    /// Database root directory for checkpoints (`None` = WAL-only).
+    /// Data directory root for checkpoints (`None` = WAL-only).
     root: Option<PathBuf>,
 }
 
@@ -2224,6 +2125,9 @@ fn prepare_row(catalog: &Catalog, meta: &crate::catalog::TableMeta, mut row: Row
 }
 
 #[cfg(test)]
+mod session_tests;
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -2249,7 +2153,7 @@ mod tests {
             std::env::temp_dir().join(format!("mlql-wal-pending-mode-{}", std::process::id()));
         let _ = std::fs::remove_file(&path);
         let wal = crate::storage::Wal::open(&path, 0).unwrap();
-        // Database::open attaches with its Fsync default; the earlier SET
+        // Engine::open attaches with its Fsync default; the earlier SET
         // must win.
         engine.attach_durability(Arc::new(SharedWal::new(wal, SyncMode::Fsync)), None);
         assert_eq!(engine.wal_sync_mode(), Some(SyncMode::Off));

@@ -33,11 +33,12 @@
 //!   Prometheus/JSON exposition, per-query trace spans, and the
 //!   per-operator instrumentation behind `EXPLAIN ANALYZE`.
 //! * [`engine`] — the shared, thread-safe [`engine::Engine`] (catalog +
-//!   buffer pool + WAL + plan cache) and per-connection
+//!   buffer pool + WAL + plan cache), opened with `Engine::in_memory()` or
+//!   `Engine::open(dir, install)` (WAL recovery), and per-connection
 //!   [`engine::Session`]s; SELECTs from different sessions run in
 //!   parallel, writers are serialized.
-//! * [`db`] — the single-connection `Database` facade, now a thin shim
-//!   over `Engine::connect()`.
+//! * [`db`] — `Database`, an `Arc<Engine>` opener kept only for the repo
+//!   benchmark harness.
 
 pub mod catalog;
 pub mod db;
@@ -57,8 +58,8 @@ pub mod storage;
 pub mod txn;
 pub mod value;
 
-pub use db::{Database, QueryResult};
-pub use engine::{Engine, Session};
+pub use db::Database;
+pub use engine::{Engine, QueryResult, Session};
 pub use error::{Error, Result};
 pub use schema::{Column, Schema};
 pub use value::{DataType, Datum, ExtTypeId};

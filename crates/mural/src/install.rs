@@ -13,7 +13,7 @@ use crate::lexequal::{lexequal_operator, DEFAULT_THRESHOLD, THRESHOLD_VAR};
 use crate::mtree_am::MTreeAm;
 use crate::semequal::{semequal_operator, SemState};
 use crate::types::unitext_type_def;
-use mlql_kernel::{Database, Datum, ExtTypeId, Result};
+use mlql_kernel::{Datum, Engine, ExtTypeId, Result};
 use mlql_phonetics::ConverterRegistry;
 use mlql_taxonomy::{books_fragment, Taxonomy};
 use mlql_unitext::LanguageRegistry;
@@ -37,14 +37,14 @@ impl Mural {
     /// ascending phonemic distance.
     pub fn nearest(
         &self,
-        db: &Database,
+        engine: &Engine,
         table: &str,
         index: &str,
         probe: &Datum,
         k: usize,
     ) -> Result<Vec<Vec<Datum>>> {
-        let meta = db.catalog().table(table)?;
-        let idx = db
+        let meta = engine.catalog().table(table)?;
+        let idx = engine
             .catalog()
             .indexes_of(meta.id)
             .into_iter()
@@ -56,10 +56,10 @@ impl Mural {
             .search("nearest", probe, &Datum::Int(k as i64))?;
         // Index entries address versions; a fresh snapshot filters the
         // dead and in-flight ones (same policy as the kernel's IndexScan).
-        let vis = db.engine().fresh_visibility();
+        let vis = engine.fresh_visibility();
         let mut out = Vec::with_capacity(search.tids.len());
         for tid in search.tids {
-            if let Some(bytes) = meta.heap.get(db.pool(), tid)? {
+            if let Some(bytes) = meta.heap.get(engine.pool(), tid)? {
                 let (xmin, xmax, rest) = mlql_kernel::storage::split_version(&bytes)?;
                 if !vis.sees(xmin, xmax) {
                     continue;
@@ -85,26 +85,26 @@ impl Mural {
 
 /// Install with the default worked-example taxonomy (the Books fragment of
 /// Figures 1 and 4).
-pub fn install(db: &mut Database) -> Result<Mural> {
+pub fn install(engine: &Engine) -> Result<Mural> {
     let langs = Arc::new(LanguageRegistry::new());
     let (taxonomy, _) = books_fragment(&langs);
-    install_inner(db, langs, taxonomy)
+    install_inner(engine, langs, taxonomy)
 }
 
 /// Install with a caller-provided taxonomy (benches load the WordNet-scale
 /// synthetic hierarchy).
-pub fn install_with_taxonomy(db: &mut Database, taxonomy: Taxonomy) -> Result<Mural> {
+pub fn install_with_taxonomy(engine: &Engine, taxonomy: Taxonomy) -> Result<Mural> {
     let langs = Arc::new(LanguageRegistry::new());
-    install_inner(db, langs, taxonomy)
+    install_inner(engine, langs, taxonomy)
 }
 
 fn install_inner(
-    db: &mut Database,
+    engine: &Engine,
     langs: Arc<LanguageRegistry>,
     taxonomy: Taxonomy,
 ) -> Result<Mural> {
     let converters = Arc::new(ConverterRegistry::with_builtins(&langs));
-    let mut catalog = db.catalog_mut();
+    let mut catalog = engine.catalog_mut();
 
     // 1. The UniText datatype (§3.1) with insertion-time phoneme
     //    materialization (§4.2).
@@ -162,10 +162,9 @@ fn install_inner(
         catalog.register_function(f);
     }
 
-    // 6. Session defaults (the paper's system-table threshold, §4.2).
-    drop(catalog); // release the catalog write lock before touching session state
-    db.session_mut()
-        .set(THRESHOLD_VAR, Datum::Int(DEFAULT_THRESHOLD));
+    // 6. Session defaults (the paper's system-table threshold, §4.2):
+    //    every session opened on the engine from now on starts with them.
+    catalog.set_session_default(THRESHOLD_VAR, Datum::Int(DEFAULT_THRESHOLD));
 
     Ok(Mural {
         langs,
@@ -178,10 +177,12 @@ fn install_inner(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mlql_kernel::Session;
 
-    fn setup() -> (Database, Mural) {
-        let mut db = Database::new_in_memory();
-        let mural = install(&mut db).unwrap();
+    fn setup() -> (Session, Mural) {
+        let engine = Engine::in_memory();
+        let mural = install(&engine).unwrap();
+        let db = engine.connect();
         (db, mural)
     }
 
@@ -334,7 +335,9 @@ mod tests {
         db.execute("CREATE INDEX names_mt ON names (n) USING mtree")
             .unwrap();
         let probe = mural.unitext("Nehru", "English").unwrap();
-        let rows = mural.nearest(&db, "names", "names_mt", &probe, 3).unwrap();
+        let rows = mural
+            .nearest(db.engine(), "names", "names_mt", &probe, 3)
+            .unwrap();
         assert_eq!(rows.len(), 3);
         let texts: Vec<String> = rows
             .iter()
@@ -375,9 +378,10 @@ mod tests {
     fn existing_functionality_unaffected() {
         // The §5.1 sanity claim at unit scale: a plain relational workload
         // runs identically with the extension installed.
-        let mut plain = Database::new_in_memory();
-        let mut extended = Database::new_in_memory();
-        let _ = install(&mut extended).unwrap();
+        let mut plain = Engine::in_memory().connect();
+        let engine = Engine::in_memory();
+        let _ = install(&engine).unwrap();
+        let mut extended = engine.connect();
         for db in [&mut plain, &mut extended] {
             db.execute("CREATE TABLE t (id INT, v TEXT)").unwrap();
             for i in 0..50 {

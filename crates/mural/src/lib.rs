@@ -10,11 +10,12 @@
 //! ## Quick start
 //!
 //! ```
-//! use mlql_kernel::Database;
+//! use mlql_kernel::Engine;
 //! use mlql_mural::install;
 //!
-//! let mut db = Database::new_in_memory();
-//! let mural = install(&mut db).unwrap();
+//! let engine = Engine::in_memory();
+//! let mural = install(&engine).unwrap();
+//! let mut db = engine.connect();
 //! db.execute("CREATE TABLE book (author UNITEXT, title TEXT)").unwrap();
 //! db.execute("INSERT INTO book VALUES (unitext('Nehru', 'English'), 'Letters')").unwrap();
 //! db.execute("INSERT INTO book VALUES (unitext('நேரு', 'Tamil'), 'Letters (ta)')").unwrap();

@@ -446,13 +446,14 @@ mod tests {
     use super::*;
     use crate::install::install;
     use mlql_kernel::pl::PlRuntime;
-    use mlql_kernel::{Database, Datum};
+    use mlql_kernel::{Datum, Engine, Session};
 
     /// Build a small names table with materialized phoneme and MDI columns,
     /// the way an outside-the-server deployment would.
-    fn names_db() -> Database {
-        let mut db = Database::new_in_memory();
-        let _ = install(&mut db).unwrap();
+    fn names_db() -> Session {
+        let engine = Engine::in_memory();
+        let _ = install(&engine).unwrap();
+        let mut db = engine.connect();
         db.execute("CREATE TABLE names (name TEXT, ph TEXT, mdi INT)")
             .unwrap();
         for n in ["nehru", "neru", "nero", "gandhi", "patel", "bose", "naidu"] {
@@ -531,8 +532,9 @@ mod tests {
 
     #[test]
     fn setsql_closure_matches_per_node_closure() {
-        let mut db = Database::new_in_memory();
-        let mural = install(&mut db).unwrap();
+        let engine = Engine::in_memory();
+        let mural = install(&engine).unwrap();
+        let mut db = engine.connect();
         db.execute("CREATE TABLE edges (child INT, parent INT)")
             .unwrap();
         let taxonomy = mural.sem.taxonomy();
@@ -566,8 +568,9 @@ mod tests {
 
     #[test]
     fn interpreted_editdistance_matches_native() {
-        let mut db = Database::new_in_memory();
-        let _ = install(&mut db).unwrap();
+        let engine = Engine::in_memory();
+        let _ = install(&engine).unwrap();
+        let mut db = engine.connect();
         let ed = editdistance_pl_fn();
         let mut rt = PlRuntime::new(&mut db);
         for (a, b, want) in [
@@ -602,8 +605,9 @@ mod tests {
 
     #[test]
     fn outside_closure_matches_pinned_closure() {
-        let mut db = Database::new_in_memory();
-        let mural = install(&mut db).unwrap();
+        let engine = Engine::in_memory();
+        let mural = install(&engine).unwrap();
+        let mut db = engine.connect();
         // Store the taxonomy's edges relationally.
         db.execute("CREATE TABLE edges (child INT, parent INT)")
             .unwrap();

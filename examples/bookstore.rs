@@ -9,7 +9,7 @@
 //! Run: `cargo run --release --example bookstore [rows]`
 
 use mlql::datagen::{books_catalog, names_dataset, NamesConfig};
-use mlql::kernel::{Database, Datum};
+use mlql::kernel::{Datum, Engine};
 use mlql::mural::install;
 use mlql::mural::types::unitext_datum;
 use std::time::Instant;
@@ -19,8 +19,9 @@ fn main() {
         .nth(1)
         .and_then(|a| a.parse().ok())
         .unwrap_or(5000);
-    let mut db = Database::new_in_memory();
-    let mural = install(&mut db).expect("install mural");
+    let engine = Engine::in_memory();
+    let mural = install(&engine).expect("install mural");
+    let mut db = engine.connect();
 
     println!("loading {rows}-row catalog ...");
     db.execute("CREATE TABLE book (id INT, author UNITEXT, title UNITEXT, category UNITEXT, language TEXT, price FLOAT)")

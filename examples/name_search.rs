@@ -9,7 +9,7 @@
 //! Run: `cargo run --release --example name_search -- Nehru Miller`
 //! (defaults to a demo probe set; env `ROWS` overrides the corpus size).
 
-use mlql::kernel::Database;
+use mlql::kernel::Engine;
 use mlql::mural::{install, unitext_from_bytes};
 use std::time::Instant;
 
@@ -27,8 +27,9 @@ fn main() {
         }
     };
 
-    let mut db = Database::new_in_memory();
-    let mural = install(&mut db).expect("install mural");
+    let engine = Engine::in_memory();
+    let mural = install(&engine).expect("install mural");
+    let mut db = engine.connect();
     println!("loading {rows} multilingual names ...");
     db.execute("CREATE TABLE names (name UNITEXT)").unwrap();
     let data = mlql::datagen::names_dataset(
@@ -82,7 +83,10 @@ fn main() {
         probes[0]
     );
     let probe = mural.unitext(&probes[0], "English").unwrap();
-    for row in mural.nearest(&db, "names", "names_mt", &probe, 5).unwrap() {
+    for row in mural
+        .nearest(db.engine(), "names", "names_mt", &probe, 5)
+        .unwrap()
+    {
         if let Some((_, bytes)) = row[0].as_ext() {
             if let Ok(v) = unitext_from_bytes(bytes) {
                 println!("    {}", v.text());

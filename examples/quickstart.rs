@@ -7,10 +7,10 @@
 //!
 //! Run: `cargo run --release --example quickstart`
 
-use mlql::kernel::Database;
+use mlql::kernel::{Engine, Session};
 use mlql::mural::install;
 
-fn show(db: &mut Database, sql: &str) {
+fn show(db: &mut Session, sql: &str) {
     println!("mlql> {sql}");
     match db.execute(sql) {
         Ok(result) => {
@@ -51,8 +51,9 @@ fn show(db: &mut Database, sql: &str) {
 }
 
 fn main() {
-    let mut db = Database::new_in_memory();
-    let _mural = install(&mut db).expect("install the Mural extension");
+    let engine = Engine::in_memory();
+    let _mural = install(&engine).expect("install the Mural extension");
+    let mut db = engine.connect();
 
     println!("=== The Books.com catalog (paper, Figure 1) ===\n");
     show(&mut db, "CREATE TABLE book (author UNITEXT, title UNITEXT, category UNITEXT, language TEXT, price FLOAT)");

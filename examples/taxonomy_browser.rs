@@ -7,7 +7,7 @@
 //!
 //! Run: `cargo run --release --example taxonomy_browser [synsets]`
 
-use mlql::kernel::{Database, Datum};
+use mlql::kernel::{Datum, Engine};
 use mlql::mural::install_with_taxonomy;
 use mlql::mural::types::unitext_datum;
 use mlql::taxonomy::{generate, synsets_near_closure_sizes, GeneratorConfig};
@@ -47,8 +47,9 @@ fn main() {
         .map(|&(_, synset, approx)| (taxonomy.words(synset)[0].clone(), approx))
         .collect();
 
-    let mut db = Database::new_in_memory();
-    let mural = install_with_taxonomy(&mut db, taxonomy).expect("install mural");
+    let engine = Engine::in_memory();
+    let mural = install_with_taxonomy(&engine, taxonomy).expect("install mural");
+    let mut db = engine.connect();
 
     // A documents table categorized by random synset word forms.
     println!("\nloading 20000 documents with random categories ...");

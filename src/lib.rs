@@ -6,11 +6,12 @@
 //! architecture overview and `examples/` for runnable entry points.
 //!
 //! ```
-//! use mlql::kernel::Database;
+//! use mlql::kernel::Engine;
 //! use mlql::mural::install;
 //!
-//! let mut db = Database::new_in_memory();
-//! let _mural = install(&mut db).unwrap();
+//! let engine = Engine::in_memory();
+//! let _mural = install(&engine).unwrap();
+//! let mut db = engine.connect();
 //! db.execute("CREATE TABLE book (author UNITEXT)").unwrap();
 //! db.execute("INSERT INTO book VALUES (unitext('Nehru', 'English'))").unwrap();
 //! let n = db.query("SELECT count(*) FROM book WHERE author LEXEQUAL unitext('Neru','English')").unwrap();

@@ -124,10 +124,11 @@ fn omega_is_not_commutative_witness() {
 fn sql_respects_psi_commutativity() {
     // The optimizer may swap ψ operands (it normalizes const-vs-column
     // using Table 1); both spellings must return identical rows.
-    use mlql::kernel::Database;
+    use mlql::kernel::Engine;
     use mlql::mural::install;
-    let mut db = Database::new_in_memory();
-    install(&mut db).unwrap();
+    let engine = Engine::in_memory();
+    install(&engine).unwrap();
+    let mut db = engine.connect();
     db.execute("CREATE TABLE t (v UNITEXT)").unwrap();
     for n in ["Nehru", "Neru", "Gandhi"] {
         db.execute(&format!("INSERT INTO t VALUES (unitext('{n}','English'))"))

@@ -2,7 +2,7 @@
 //! PostgreSQL-7.4 GiST (paper §4.2.1), are *not* WAL-logged — are rebuilt
 //! from the recovered heaps and must serve queries correctly afterwards.
 
-use mlql::kernel::{db::rebuild_indexes, Database};
+use mlql::kernel::{Engine, Session};
 use mlql::mural::install;
 use std::path::PathBuf;
 
@@ -12,13 +12,14 @@ fn tmpdir(tag: &str) -> PathBuf {
     d
 }
 
-fn open_mural(dir: &PathBuf) -> (Database, mlql::mural::Mural) {
+fn open_mural(dir: &PathBuf) -> (Session, mlql::mural::Mural) {
     let mut slot = None;
-    let db = Database::open_with_extensions(dir, |db| {
-        slot = Some(install(db)?);
+    let db = Engine::open(dir, |e| {
+        slot = Some(install(e)?);
         Ok(())
     })
-    .unwrap();
+    .unwrap()
+    .connect();
     (db, slot.unwrap())
 }
 
@@ -60,7 +61,7 @@ fn multilingual_data_survives_crash() {
 fn deletes_replay_correctly() {
     let dir = tmpdir("deletes");
     {
-        let mut db = Database::open(&dir).unwrap();
+        let mut db = Engine::open(&dir, |_| Ok(())).unwrap().connect();
         db.execute("CREATE TABLE t (id INT, tag TEXT)").unwrap();
         for i in 0..20 {
             db.execute(&format!("INSERT INTO t VALUES ({i}, 'keep')"))
@@ -69,7 +70,7 @@ fn deletes_replay_correctly() {
         db.execute("DELETE FROM t WHERE id < 5").unwrap();
         db.execute("INSERT INTO t VALUES (100, 'late')").unwrap();
     }
-    let mut db = Database::open(&dir).unwrap();
+    let mut db = Engine::open(&dir, |_| Ok(())).unwrap().connect();
     let n = db.query("SELECT count(*) FROM t").unwrap();
     assert_eq!(n[0][0].as_int(), Some(16));
     let late = db.query("SELECT count(*) FROM t WHERE id = 100").unwrap();
@@ -83,12 +84,12 @@ fn deletes_replay_correctly() {
 fn repeated_reopen_is_idempotent() {
     let dir = tmpdir("reopen");
     {
-        let mut db = Database::open(&dir).unwrap();
+        let mut db = Engine::open(&dir, |_| Ok(())).unwrap().connect();
         db.execute("CREATE TABLE t (id INT)").unwrap();
         db.execute("INSERT INTO t VALUES (1), (2)").unwrap();
     }
     for _ in 0..3 {
-        let mut db = Database::open(&dir).unwrap();
+        let mut db = Engine::open(&dir, |_| Ok(())).unwrap().connect();
         let n = db.query("SELECT count(*) FROM t").unwrap();
         assert_eq!(n[0][0].as_int(), Some(2), "reopen must not duplicate rows");
     }
@@ -98,8 +99,9 @@ fn repeated_reopen_is_idempotent() {
 #[test]
 fn manual_index_rebuild_matches_fresh_build() {
     // The recovery path for non-WAL-logged indexes, exercised directly.
-    let mut db = Database::new_in_memory();
-    install(&mut db).unwrap();
+    let engine = Engine::in_memory();
+    install(&engine).unwrap();
+    let mut db = engine.connect();
     db.execute("CREATE TABLE t (v UNITEXT)").unwrap();
     db.execute("CREATE INDEX t_mt ON t (v) USING mtree")
         .unwrap();
@@ -114,7 +116,7 @@ fn manual_index_rebuild_matches_fresh_build() {
     let before = db
         .query("SELECT count(*) FROM t WHERE v LEXEQUAL unitext('name5','English')")
         .unwrap();
-    rebuild_indexes(&mut db).unwrap();
+    db.engine().rebuild_indexes().unwrap();
     let after = db
         .query("SELECT count(*) FROM t WHERE v LEXEQUAL unitext('name5','English')")
         .unwrap();
@@ -132,7 +134,7 @@ fn committed_txn_survives_crash_uncommitted_is_dropped() {
     let dir = tmpdir("txn-tail");
     {
         let (db, _mural) = open_mural(&dir);
-        let mut setup = db.connect();
+        let mut setup = db.engine().connect();
         setup
             .execute("CREATE TABLE book (author UNITEXT, price FLOAT)")
             .unwrap();
@@ -144,7 +146,7 @@ fn committed_txn_survives_crash_uncommitted_is_dropped() {
             .unwrap();
 
         // Transaction A: three cross-script homophones, committed.
-        let mut a = db.connect();
+        let mut a = db.engine().connect();
         a.execute("BEGIN").unwrap();
         for (n, l) in [("Nehru", "English"), ("नेहरू", "Hindi"), ("நேரு", "Tamil")]
         {
@@ -159,7 +161,7 @@ fn committed_txn_survives_crash_uncommitted_is_dropped() {
         // session is leaked so not even an Abort record reaches the log:
         // the WAL tail ends with bare in-flight DML, exactly what a kill
         // mid-transaction leaves behind.
-        let mut b = db.connect();
+        let mut b = db.engine().connect();
         b.execute("BEGIN").unwrap();
         for i in 0..3 {
             b.execute(&format!(
@@ -217,20 +219,20 @@ fn committed_txn_survives_crash_uncommitted_is_dropped() {
 fn aborted_txn_in_wal_tail_is_dropped_on_recovery() {
     let dir = tmpdir("txn-abort-tail");
     {
-        let mut db = Database::open(&dir).unwrap();
+        let mut db = Engine::open(&dir, |_| Ok(())).unwrap().connect();
         db.execute("CREATE TABLE t (id INT)").unwrap();
         db.execute("INSERT INTO t VALUES (1)").unwrap();
         let db = db; // sessions below borrow the engine
-        let mut a = db.connect();
+        let mut a = db.engine().connect();
         a.execute("BEGIN").unwrap();
         a.execute("INSERT INTO t VALUES (2)").unwrap();
         a.execute("COMMIT").unwrap();
-        let mut b = db.connect();
+        let mut b = db.engine().connect();
         b.execute("BEGIN").unwrap();
         b.execute("INSERT INTO t VALUES (3)").unwrap();
         drop(b); // logs Abort, crash before any checkpoint
     }
-    let mut db = Database::open(&dir).unwrap();
+    let mut db = Engine::open(&dir, |_| Ok(())).unwrap().connect();
     let mut ids: Vec<i64> = db
         .query("SELECT id FROM t")
         .unwrap()

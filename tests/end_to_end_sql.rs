@@ -1,13 +1,13 @@
 //! End-to-end SQL tests through the umbrella crate: the full pipeline
 //! (parse → bind → optimize → execute) over multilingual data.
 
-use mlql::kernel::{Database, Datum};
+use mlql::kernel::{Datum, Engine, Session};
 use mlql::mural::install;
 
-fn db() -> Database {
-    let mut db = Database::new_in_memory();
-    install(&mut db).unwrap();
-    db
+fn db() -> Session {
+    let engine = Engine::in_memory();
+    install(&engine).unwrap();
+    engine.connect()
 }
 
 #[test]

@@ -8,11 +8,12 @@
 //! SemEQUAL scan inside a snapshot must not see a concurrent lexicon
 //! INSERT until its own transaction ends.
 
-use mlql::kernel::{Database, Error, Session};
+use mlql::kernel::{Engine, Error, Session};
 use mlql::mural::install;
 use mlql::mural::types::unitext_datum;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Worker counts × batch modes every read-side assertion is re-checked
 /// at: snapshot semantics must be identical through the serial executor,
@@ -20,13 +21,14 @@ use std::collections::BTreeMap;
 const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
 const BATCH_MODES: [&str; 2] = ["SET batch_size = 1", "SET batch_size = 1024"];
 
-fn plain_db() -> Database {
-    Database::new_in_memory()
+fn plain_db() -> Arc<Engine> {
+    Engine::in_memory()
 }
 
-fn mural_db() -> (Database, mlql::mural::Mural) {
-    let mut db = Database::new_in_memory();
-    let mural = install(&mut db).unwrap();
+fn mural_db() -> (Session, mlql::mural::Mural) {
+    let engine = Engine::in_memory();
+    let mural = install(&engine).unwrap();
+    let db = engine.connect();
     (db, mural)
 }
 
@@ -294,7 +296,7 @@ fn psi_scan_snapshot_ignores_concurrent_lexicon_inserts() {
     db.execute("ANALYZE names").unwrap();
 
     let psi = "SELECT count(*) FROM names WHERE name LEXEQUAL unitext('Nehru','English')";
-    let mut a = db.connect();
+    let mut a = db.engine().connect();
     a.execute("SET lexequal.threshold = 2").unwrap();
     a.execute("BEGIN").unwrap();
     let before = int(&mut a, psi);
@@ -302,7 +304,7 @@ fn psi_scan_snapshot_ignores_concurrent_lexicon_inserts() {
     // A concurrent session inserts matching lexicon entries across three
     // scripts and (auto)commits each one.
     const EXTRA: i64 = 3;
-    let mut b = db.connect();
+    let mut b = db.engine().connect();
     for (name, lang) in [("Nehru", "English"), ("नेहरू", "Hindi"), ("நேரு", "Tamil")]
     {
         b.execute(&format!(
@@ -311,7 +313,7 @@ fn psi_scan_snapshot_ignores_concurrent_lexicon_inserts() {
         .unwrap();
     }
     // Fresh snapshots see them immediately...
-    let mut fresh = db.connect();
+    let mut fresh = db.engine().connect();
     fresh.execute("SET lexequal.threshold = 2").unwrap();
     assert_eq!(int(&mut fresh, psi), before + EXTRA);
     // ...while A's snapshot stays pinned, whatever the executor shape.
@@ -359,12 +361,12 @@ fn omega_scan_snapshot_ignores_concurrent_inserts() {
     db.execute("ANALYZE docs").unwrap();
 
     let omega = "SELECT count(*) FROM docs WHERE category SEMEQUAL unitext('History','English')";
-    let mut a = db.connect();
+    let mut a = db.engine().connect();
     a.execute("BEGIN").unwrap();
     let before = int(&mut a, omega);
     assert!(before > 0, "probe must select something");
 
-    let mut b = db.connect();
+    let mut b = db.engine().connect();
     b.execute("BEGIN").unwrap();
     for id in [9001i64, 9002] {
         b.execute(&format!(
@@ -373,7 +375,7 @@ fn omega_scan_snapshot_ignores_concurrent_inserts() {
         .unwrap();
     }
     // Still uncommitted: invisible everywhere.
-    let mut fresh = db.connect();
+    let mut fresh = db.engine().connect();
     assert_eq!(int(&mut fresh, omega), before);
     b.execute("COMMIT").unwrap();
     // Committed: fresh snapshots count them, A's snapshot does not.

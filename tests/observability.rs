@@ -2,13 +2,13 @@
 //! actuals for the paper's ψ and Ω plans, the SHOW STATS / mlql_stats()
 //! SQL surface, and the engine metric counters behind Figures 6–8.
 
-use mlql::kernel::{obs, Database};
+use mlql::kernel::{obs, Engine, Session};
 use mlql::mural::install;
 
-fn db() -> Database {
-    let mut db = Database::new_in_memory();
-    install(&mut db).unwrap();
-    db
+fn db() -> Session {
+    let engine = Engine::in_memory();
+    install(&engine).unwrap();
+    engine.connect()
 }
 
 /// The per-node `actual rows=` values of an EXPLAIN ANALYZE text, in plan
@@ -476,7 +476,7 @@ fn show_activity_observes_live_parallel_scan_from_second_session() {
     let sql = "SELECT name FROM names WHERE name LEXEQUAL unitext('Nehru1','English')";
 
     // The observer is a *different* session on the same engine.
-    let mut observer = db.connect();
+    let mut observer = db.engine().connect();
     let stop = AtomicBool::new(false);
     let (mut saw_execute, mut saw_workers, mut saw_rows) = (false, false, false);
     let mut saw_sql = false;
@@ -1072,7 +1072,7 @@ fn stale_statistics_advisory_raises_and_analyze_clears_it() {
     }
     db.execute("SET qerror_warn = 4").unwrap();
 
-    let advisories_shown = |db: &mut Database| {
+    let advisories_shown = |db: &mut Session| {
         let r = db.execute("SHOW ADVISORIES").unwrap();
         r.rows
             .iter()

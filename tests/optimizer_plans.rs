@@ -2,17 +2,18 @@
 //! pushdown (the §5.2.1 plan-choice story), and the `enable_*` force
 //! flags the experiments rely on.
 
-use mlql::kernel::{Database, Datum};
+use mlql::kernel::{Datum, Engine, Session};
 use mlql::mural::install;
 use mlql::mural::types::unitext_datum;
 
-fn db() -> (Database, mlql::mural::Mural) {
-    let mut db = Database::new_in_memory();
-    let m = install(&mut db).unwrap();
+fn db() -> (Session, mlql::mural::Mural) {
+    let engine = Engine::in_memory();
+    let m = install(&engine).unwrap();
+    let db = engine.connect();
     (db, m)
 }
 
-fn load_names(db: &mut Database, m: &mlql::mural::Mural, table: &str, n: usize, seed: u64) {
+fn load_names(db: &mut Session, m: &mlql::mural::Mural, table: &str, n: usize, seed: u64) {
     db.execute(&format!("CREATE TABLE {table} (name UNITEXT, id INT)"))
         .unwrap();
     let data = mlql::datagen::names_dataset(

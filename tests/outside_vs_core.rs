@@ -5,13 +5,14 @@
 
 use mlql::datagen::{names_dataset, NamesConfig};
 use mlql::kernel::pl::PlRuntime;
-use mlql::kernel::{Database, Datum};
+use mlql::kernel::{Datum, Engine, Session};
 use mlql::mural::types::unitext_datum;
 use mlql::mural::{install, mdi, outside, Mural};
 
-fn corpus(records: usize) -> (Database, Mural) {
-    let mut db = Database::new_in_memory();
-    let mural = install(&mut db).unwrap();
+fn corpus(records: usize) -> (Session, Mural) {
+    let engine = Engine::in_memory();
+    let mural = install(&engine).unwrap();
+    let mut db = engine.connect();
     db.execute("CREATE TABLE names (name UNITEXT)").unwrap();
     db.execute("CREATE TABLE names_out (name TEXT, ph TEXT, mdi INT)")
         .unwrap();
@@ -160,7 +161,7 @@ fn join_results_identical_across_implementations() {
 #[test]
 fn closure_identical_between_sql_expansion_and_pinned() {
     use mlql::taxonomy::{generate, synsets_near_closure_sizes, GeneratorConfig};
-    let mut db = Database::new_in_memory();
+    let mut db = Engine::in_memory().connect();
     let langs = mlql::unitext::LanguageRegistry::new();
     let taxonomy = generate(
         langs.id_of("English"),

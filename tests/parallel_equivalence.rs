@@ -7,7 +7,7 @@
 //! property test then fuzzes random multilingual tables and thresholds
 //! across the serial/parallel planner boundary (the ≥ 1024-row gate).
 
-use mlql::kernel::{Database, Datum, Error};
+use mlql::kernel::{Datum, Engine, Error, Session};
 use mlql::mural::install;
 use mlql::mural::types::{phoneme_slice, unitext_datum};
 use mlql::phonetics::distance::edit_distance;
@@ -20,16 +20,17 @@ use std::collections::HashSet;
 /// reference; 2 and 4 exercise real fan-out.
 const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
 
-fn db() -> (Database, mlql::mural::Mural) {
-    let mut db = Database::new_in_memory();
-    let mural = install(&mut db).unwrap();
+fn db() -> (Session, mlql::mural::Mural) {
+    let engine = Engine::in_memory();
+    let mural = install(&engine).unwrap();
+    let db = engine.connect();
     (db, mural)
 }
 
 /// Load `n` multilingual name rows (the Table 4 generator: cross-script
 /// homophones plus noise) into `table`, then ANALYZE so the planner sees
 /// the real row count.
-fn load_names(db: &mut Database, mural: &mlql::mural::Mural, table: &str, n: usize, seed: u64) {
+fn load_names(db: &mut Session, mural: &mlql::mural::Mural, table: &str, n: usize, seed: u64) {
     db.execute(&format!("CREATE TABLE {table} (name UNITEXT)"))
         .unwrap();
     let data = mlql::datagen::names_dataset(
@@ -50,8 +51,8 @@ fn load_names(db: &mut Database, mural: &mlql::mural::Mural, table: &str, n: usi
 
 /// Run `sql` in a fresh session pinned to `workers`, returning the result
 /// rows stringified and sorted (parallel row order is nondeterministic).
-fn sorted_rows(db: &Database, workers: usize, setup: &[&str], sql: &str) -> Vec<String> {
-    let mut s = db.connect();
+fn sorted_rows(db: &Session, workers: usize, setup: &[&str], sql: &str) -> Vec<String> {
+    let mut s = db.engine().connect();
     s.execute(&format!("SET parallel_workers = {workers}"))
         .unwrap();
     for stmt in setup {
@@ -73,7 +74,7 @@ fn sorted_rows(db: &Database, workers: usize, setup: &[&str], sql: &str) -> Vec<
 }
 
 /// Assert `sql` yields identical sorted results at every worker count.
-fn assert_equivalent(db: &Database, setup: &[&str], sql: &str) {
+fn assert_equivalent(db: &Session, setup: &[&str], sql: &str) {
     let reference = sorted_rows(db, 1, setup, sql);
     for &w in &WORKER_COUNTS[1..] {
         let got = sorted_rows(db, w, setup, sql);
@@ -200,7 +201,7 @@ fn limit_and_max_rows_semantics_preserved() {
     }
     // max_rows raises the same typed error serial and parallel.
     for &w in &WORKER_COUNTS {
-        let mut s = db.connect();
+        let mut s = db.engine().connect();
         s.execute(&format!("SET parallel_workers = {w}")).unwrap();
         s.execute("SET max_rows = 10").unwrap();
         let err = s.query("SELECT name FROM names").unwrap_err();
@@ -266,7 +267,7 @@ fn omega_oracle(mural: &mlql::mural::Mural, docs: &[(i64, UniText)], rhs: &str) 
 /// Insert `n` docs rows cycling through `cats`; returns each row's
 /// `(id, category)` for the Ω oracle.
 fn load_docs(
-    db: &mut Database,
+    db: &mut Session,
     mural: &mlql::mural::Mural,
     cats: &[(&str, &str)],
     n: i64,
@@ -296,6 +297,7 @@ fn batch_mode_results_match_psi_oracle() {
     let (mut db, mural) = db();
     load_names(&mut db, &mural, "names", 1500, 11);
     let names: Vec<Datum> = db
+        .engine()
         .connect()
         .query("SELECT name FROM names")
         .unwrap()
@@ -364,7 +366,7 @@ fn omega_batch_results_match_closure_oracle() {
 fn batch_size_session_knob() {
     let (mut db, mural) = db();
     load_names(&mut db, &mural, "names", 1500, 13);
-    let mut s = db.connect();
+    let mut s = db.engine().connect();
     s.execute("SET batch_size = 1").unwrap();
     let shown = s.query("SHOW batch_size").unwrap();
     assert_eq!(shown[0][0].as_text(), Some("1"));
@@ -412,7 +414,7 @@ fn parallel_scans_race_concurrent_ddl() {
     let (mut db, mural) = db();
     load_names(&mut db, &mural, "names", 1200, 7);
     let stop = AtomicBool::new(false);
-    let readers: Vec<_> = (0..3).map(|_| db.connect()).collect();
+    let readers: Vec<_> = (0..3).map(|_| db.engine().connect()).collect();
     std::thread::scope(|scope| {
         let stop = &stop;
         let mut handles = Vec::new();
@@ -504,7 +506,7 @@ fn omega_interval_strategy_equivalent() {
     ];
     let docs = load_docs(&mut db, &mural, &cats, 1400);
 
-    let check_all = |db: &Database| {
+    let check_all = |db: &Session| {
         for rhs in ["History", "Biography", "Fiction"] {
             let sql =
                 format!("SELECT id FROM docs WHERE category SEMEQUAL unitext('{rhs}','English')");
@@ -551,7 +553,7 @@ fn snapshot_pins_parallel_scan_against_concurrent_commits() {
     load_names(&mut db, &mural, "names", 1500, 9);
 
     let sql = "SELECT name FROM names WHERE name LEXEQUAL unitext('Nehru','English')";
-    let mut reader = db.connect();
+    let mut reader = db.engine().connect();
     reader.execute("SET parallel_workers = 4").unwrap();
     reader.execute("SET lexequal.threshold = 2").unwrap();
     reader.execute("BEGIN").unwrap();
@@ -573,7 +575,7 @@ fn snapshot_pins_parallel_scan_against_concurrent_commits() {
         // Writer: commits a matching row every iteration from its own
         // session while the reader re-scans inside its snapshot.
         let writer = {
-            let mut w = db.connect();
+            let mut w = db.engine().connect();
             scope.spawn(move || {
                 for i in 0..EXTRA {
                     w.execute("INSERT INTO names VALUES (unitext('Nehru','English'))")

@@ -2,14 +2,43 @@
 //! DDL and INSERTs interleaved with LexEQUAL/SemEQUAL reads, and
 //! plan-cache invalidation across sessions.
 
-use mlql::kernel::{Database, Error};
+use mlql::kernel::{Engine, Error, Session};
 use mlql::mural::install;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-fn db() -> Database {
-    let mut db = Database::new_in_memory();
-    install(&mut db).unwrap();
-    db
+fn db() -> Session {
+    let engine = Engine::in_memory();
+    install(&engine).unwrap();
+    engine.connect()
+}
+
+fn threshold(s: &mut Session) -> Option<String> {
+    let r = s.execute("SHOW lexequal.threshold").unwrap();
+    r.rows[0][0].as_text().map(str::to_string)
+}
+
+/// Mural keeps the ψ threshold default in the catalog (the paper's system
+/// table, §4.2), so every session on an engine with the extension
+/// installed starts from it — in memory or recovered — and a `SET` stays
+/// inside the session that issued it.
+#[test]
+fn extension_defaults_reach_every_session() {
+    let dir = std::env::temp_dir().join(format!("mlql-defaults-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let in_memory = Engine::in_memory();
+    install(&in_memory).unwrap();
+    let recovered = Engine::open(&dir, |e| install(e).map(drop)).unwrap();
+    for engine in [in_memory, recovered] {
+        let mut a = engine.connect();
+        let mut b = engine.connect();
+        assert_eq!(threshold(&mut a).as_deref(), Some("2"));
+        assert_eq!(threshold(&mut b).as_deref(), Some("2"));
+        a.execute("SET lexequal.threshold = 4").unwrap();
+        assert_eq!(threshold(&mut a).as_deref(), Some("4"));
+        assert_eq!(threshold(&mut b).as_deref(), Some("2"));
+        assert_eq!(threshold(&mut engine.connect()).as_deref(), Some("2"));
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// Readers run ψ/Ω selects from their own sessions while the writer
@@ -38,7 +67,7 @@ fn ddl_and_inserts_interleave_with_multilingual_reads() {
     let stop = AtomicBool::new(false);
     // Sessions are created up front (they copy the writer's vars, so the
     // lexequal threshold carries over) and moved into the reader threads.
-    let readers: Vec<_> = (0..4).map(|_| db.connect()).collect();
+    let readers: Vec<_> = (0..4).map(|_| db.engine().connect()).collect();
 
     std::thread::scope(|scope| {
         let stop = &stop;
@@ -108,7 +137,7 @@ fn ddl_and_inserts_interleave_with_multilingual_reads() {
     });
 
     // Final state is exact in every session.
-    let mut fresh = db.connect();
+    let mut fresh = db.engine().connect();
     let psi = fresh
         .query("SELECT count(*) FROM book WHERE author LEXEQUAL unitext('Nehru','English')")
         .unwrap()[0][0]
@@ -126,7 +155,7 @@ fn plan_cache_invalidates_across_sessions() {
     db.execute("INSERT INTO t VALUES (1), (2), (3)").unwrap();
 
     let metrics = mlql::kernel::obs::metrics();
-    let mut s1 = db.connect();
+    let mut s1 = db.engine().connect();
     let q = "SELECT count(*) FROM t WHERE id >= 2";
     assert_eq!(s1.query(q).unwrap()[0][0].as_int(), Some(2));
     let hits0 = metrics.plan_cache_hits_total.get();
@@ -137,7 +166,7 @@ fn plan_cache_invalidates_across_sessions() {
     );
 
     // DDL in a *different* session flushes the shared cache.
-    let mut s2 = db.connect();
+    let mut s2 = db.engine().connect();
     s2.execute("CREATE TABLE u (id INT)").unwrap();
     assert_eq!(db.engine().cached_plan_count(), 0);
 
@@ -178,7 +207,7 @@ fn max_rows_guard_is_per_session() {
     for i in 0..50 {
         db.execute(&format!("INSERT INTO t VALUES ({i})")).unwrap();
     }
-    let mut limited = db.connect();
+    let mut limited = db.engine().connect();
     limited.execute("SET max_rows = 10").unwrap();
     let err = limited.query("SELECT id FROM t").unwrap_err();
     assert!(
@@ -237,7 +266,7 @@ fn failed_index_backfill_unregisters_index() {
         .execute("CREATE INDEX t_bad ON t (id) USING mtree")
         .is_err());
     {
-        let catalog = db.catalog();
+        let catalog = db.engine().catalog();
         let meta = catalog.table("t").unwrap();
         assert!(
             catalog.indexes_of(meta.id).is_empty(),
@@ -263,8 +292,9 @@ fn failed_index_backfill_unregisters_index() {
 /// against a memoized closure of the old hierarchy.
 #[test]
 fn omega_cache_invalidation_crosses_sessions() {
-    let mut db = Database::new_in_memory();
-    let mural = install(&mut db).unwrap();
+    let engine = Engine::in_memory();
+    let mural = install(&engine).unwrap();
+    let mut db = engine.connect();
     db.execute("CREATE TABLE docs (id INT, category UNITEXT)")
         .unwrap();
     db.execute("INSERT INTO docs VALUES (1, unitext('Fiction','English'))")
@@ -273,8 +303,8 @@ fn omega_cache_invalidation_crosses_sessions() {
         .unwrap();
 
     let omega = "SELECT count(*) FROM docs WHERE category SEMEQUAL unitext('History','English')";
-    let mut s1 = db.connect();
-    let mut s2 = db.connect();
+    let mut s1 = db.engine().connect();
+    let mut s2 = db.engine().connect();
     // Pin both sessions to the closure-walk fallback: the interval index
     // (the default) never memoizes closures, and this test is about the
     // shared *closure cache* invalidation protocol.
@@ -312,14 +342,15 @@ fn omega_cache_invalidation_crosses_sessions() {
 /// would happily serve the pre-edit closure to the fresh plan.
 #[test]
 fn omega_cache_never_serves_stale_closure_after_ddl() {
-    let mut db = Database::new_in_memory();
-    let mural = install(&mut db).unwrap();
+    let engine = Engine::in_memory();
+    let mural = install(&engine).unwrap();
+    let mut db = engine.connect();
     db.execute("CREATE TABLE docs (id INT, category UNITEXT)")
         .unwrap();
     db.execute("INSERT INTO docs VALUES (1, unitext('Fiction','English'))")
         .unwrap();
     let omega = "SELECT count(*) FROM docs WHERE category SEMEQUAL unitext('History','English')";
-    let mut s = db.connect();
+    let mut s = db.engine().connect();
     // Closure-walk fallback: this regression is about the *closure cache*
     // revalidating across taxonomy versions, which the interval index
     // (the default path) bypasses entirely.
